@@ -847,6 +847,18 @@ def bind_architecture(registry: MetricsRegistry, architecture: "Architecture") -
         )
 
 
+#: Gauges :func:`bind_injector` registers.  They mirror the fault plan's
+#: state, so every partition of a sharded run reports the same value.
+FAULT_PLAN_GAUGES = frozenset(
+    {
+        "repro_node_up",
+        "repro_fault_origin_factor",
+        "repro_fault_latency_mult",
+        "repro_fault_hint_loss_prob",
+    }
+)
+
+
 def bind_injector(
     registry: MetricsRegistry, injector: "FaultInjector", *, arch: str
 ) -> None:
@@ -1002,14 +1014,14 @@ def merge_timeline_rows(row_lists: Sequence[Sequence[Mapping]]) -> list[dict]:
     length, same ``bin``/``t_start``/``t_end``/``arch`` per position.
     The merge sums counter *deltas* (they telescope, so merged bins
     re-sum to the merged run totals exactly) and sums gauge values --
-    cache occupancies and entry counts add across partitions; a
-    non-additive gauge (e.g. a fault plan's per-node up flag, mirrored
-    into every partition) comes back multiplied by the partition count,
-    which the sharded runner documents rather than hides.
+    cache occupancies and entry counts add across partitions.  The
+    :data:`FAULT_PLAN_GAUGES` mirror one plan into every partition, so
+    they merge to their common value instead.
 
     Callers fold partitions in canonical partition order: summing floats
     in a fixed order is what keeps merged rows byte-identical for any
-    shard count.  Raises ``ValueError`` on incongruent row lists.
+    shard count.  Raises ``ValueError`` on incongruent row lists and on
+    partitions that disagree on a fault-plan gauge.
     """
     row_lists = [list(rows) for rows in row_lists]
     if not row_lists:
@@ -1035,7 +1047,13 @@ def merge_timeline_rows(row_lists: Sequence[Sequence[Mapping]]) -> list[dict]:
             for key, delta in row.get("counters", {}).items():
                 counters[key] = counters.get(key, 0.0) + delta
             for key, value in row.get("gauges", {}).items():
-                gauges[key] = gauges.get(key, 0.0) + value
+                if key.split("{", 1)[0] not in FAULT_PLAN_GAUGES:
+                    gauges[key] = gauges.get(key, 0.0) + value
+                elif gauges.setdefault(key, value) != value:
+                    raise ValueError(
+                        f"bin {index}: partitions disagree on {key} "
+                        f"({value!r} vs {gauges[key]!r})"
+                    )
         merged.append(
             {
                 "arch": base["arch"],

@@ -13,7 +13,7 @@ scale:
 * :mod:`repro.runner.parallel` -- process-pool fan-out of registry runs and
   architecture comparisons, deterministic for any job count;
 * :mod:`repro.runner.sharding` -- hash-partitioned shard engines over the
-  same pool, deterministic for any shard count.
+  same pool, equal to the unsharded run for any shard count.
 
 CLI surface: ``python -m repro.experiments --all --jobs 4 --trace-cache
 ~/.cache/repro-traces`` (add ``--shards N`` to the comparison verbs).

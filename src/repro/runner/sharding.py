@@ -1,60 +1,54 @@
-"""Sharded multi-process simulation with shard-count-invariant results.
+"""Sharded multi-process simulation: exactly the unsharded answer, or a refusal.
 
 The single-process engine caps the population one comparison can hold in
 memory; this module hash-partitions the **object space** across shard
 engines so a run's working set splits across worker processes -- the
-partitioning/replication shape of distributed cache deployments (and of
-the cooperative-caching literature the README surveys).
+partitioning shape of distributed cache deployments, where independent
+keys shard for free.
 
-Three layers make shard counts invisible in the results:
+The contract is **sharded == unsharded**.  Splitting a trace by object is
+exact whenever no two objects share state, which is the paper's default
+regime of effectively unbounded caches: every cache, hint and directory
+entry belongs to one object, so each object's requests see the same
+history whichever other objects run beside them.  Three layers make that
+hold for any shard count:
 
 * **Fixed virtual partitions.**  A :class:`ShardPlan` maps every object
   id to one of ``virtual_partitions`` *virtual* partitions via a stable
   hash (:func:`repro.common.ids.partition_of_object` -- never Python's
   randomized ``hash``).  Each virtual partition gets its own sub-trace
-  (its objects' requests, time order preserved), its own architecture
-  instance (full L1 client population -- the client -> L1 mapping is
-  topology-stable, so every partition sees the same proxy fabric), and
-  its own replacement-policy RNG stream
-  (:meth:`repro.cache.policy.PolicySpec.for_partition`, keyed on
-  partition identity).  Physical shards own *sets* of virtual partitions
-  through a consistent-hash ring, so changing ``shards`` only regroups
-  identical per-partition computations.
-
-* **Bounded-lag virtual clock.**  A shard engine round-robins its
-  partitions' :class:`~repro.sim.engine.SimulationStepper` instances in
-  fixed partition order, advancing each to a shared horizon of
-  ``min(next event time) + clock_lag_s``: no partition's clock ever runs
-  more than the lag window ahead of the slowest, so cross-partition
-  interleaving cannot reorder observable state transitions.  Peer
-  resolution is shard-aware -- hint/ICP/directory lookups stay inside
-  the partition that owns the object, enforced per request by
-  :meth:`repro.hierarchy.base.Architecture.check_shard_owns` (a routing
-  leak raises :class:`~repro.common.errors.ShardRoutingError` instead of
-  silently breaking invariance).
+  (its objects' requests, time order preserved) and its own architecture
+  instance over the full topology, and runs through
+  :func:`~repro.sim.engine.run_simulation`.  Physical shards own *sets*
+  of virtual partitions through a consistent-hash ring, so changing
+  ``shards`` only regroups identical per-partition computations.
+  Peer resolution stays inside the owning partition, enforced per
+  request by :meth:`repro.hierarchy.base.Architecture.check_shard_owns`
+  (a routing leak raises :class:`~repro.common.errors.ShardRoutingError`).
 
 * **Canonical-order merge.**  Workers return per-partition results
   *unmerged*; the coordinator folds
   :meth:`repro.sim.metrics.SimMetrics.merge` and
   :func:`repro.obs.telemetry.merge_timeline_rows` in ascending partition
-  order -- exactly the way :func:`~repro.runner.parallel.run_comparison_parallel`
-  already merges per-architecture outputs, with the float-addition order
-  pinned.  Identical per-partition values folded in an identical order
-  are bit-identical for any shard count and any job count.
+  order, so the float-addition order is pinned and results are
+  bit-identical for any shard count and any job count.  Against the
+  unsharded run, counters and histograms are equal; float latency sums
+  can differ in their last bits because they are added in a different
+  order.
 
-Note the modelling consequence: a sharded run partitions each cache's
-population by object (per-partition capacities and per-partition L1
-populations), so its absolute numbers differ from an unsharded
-``run_comparison`` over the same trace.  The invariance contract is
-between sharded runs: ``--shards 1`` and ``--shards 4`` are pinned
-identical, which is what lets a population larger than one process holds
-run across many.
+* **Refusal of object coupling.**  Before any worker is spawned,
+  :func:`run_comparison_sharded` builds each spec once and raises
+  ``ValueError`` for any configuration that couples objects: a data
+  cache or hint directory with a byte capacity (evictions and set
+  conflicts tie objects together), and any architecture or fault event
+  that draws from a shared random stream (client-hint false-negative
+  coins, random push targets, message-level flush jitter, hint-batch
+  loss), or shares one push-bandwidth budget across objects.  Splitting
+  such a run by object would approximate the model, not compute it.
 
-Fault plans replay per partition (every partition sees the same node
-crash/recover schedule), which keeps faulted runs shard-count invariant
-too; merged timeline *gauges* are summed across partitions (occupancy
-adds; a mirrored per-node up flag comes back scaled by the partition
-count -- see :func:`repro.obs.telemetry.merge_timeline_rows`).
+Fault plans replay per partition: every partition sees the same node
+crash/recover schedule, which is exact because a crash empties each
+partition's slice of the node.
 """
 
 from __future__ import annotations
@@ -63,20 +57,21 @@ import bisect
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.common.ids import mix64, partitions_of_objects
 from repro.common.timing import Stopwatch
+from repro.faults.events import FaultPlan, HintBatchLoss
 from repro.hierarchy.base import Architecture, ShardInfo
+from repro.hierarchy.message_hints import MessageLevelHintHierarchy
+from repro.push.hierarchical import HierarchicalPushOnMiss
+from repro.push.update_push import UpdatePush
 from repro.runner.specs import ArchitectureSpec
 from repro.runner.trace_cache import cached_trace
-from repro.sim.engine import SimulationStepper, run_simulation
+from repro.sim.engine import run_simulation
 from repro.sim.metrics import SimMetrics
 from repro.traces.profiles import WorkloadProfile
 from repro.traces.records import Trace
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.faults.events import FaultPlan
 
 #: Default number of virtual partitions.  Fixed independently of the
 #: shard count -- this is the invariance anchor: results depend on the
@@ -96,17 +91,13 @@ class ShardPlan:
         shards: Physical shard engines (process-pool work units per
             architecture).
         virtual_partitions: Fixed hash-space granularity; must be at
-            least ``shards``.  Changing it changes results (it reshapes
-            every partition's sub-trace); changing ``shards`` never does.
-        clock_lag_s: Bounded-lag window for the virtual-clock sync, in
-            simulated seconds.  Any positive value yields identical
-            results (partitions share no object state); smaller values
-            tighten interleaving at the cost of more round-robin passes.
+            least ``shards``.  Changing ``shards`` never changes a result
+            bit; changing ``virtual_partitions`` only reorders the merge's
+            float additions, so latency sums may move in their last bits.
     """
 
     shards: int
     virtual_partitions: int = DEFAULT_VIRTUAL_PARTITIONS
-    clock_lag_s: float = 3600.0
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -115,10 +106,6 @@ class ShardPlan:
             raise ValueError(
                 f"virtual_partitions ({self.virtual_partitions}) must be >= "
                 f"shards ({self.shards}); each shard owns at least one"
-            )
-        if self.clock_lag_s <= 0:
-            raise ValueError(
-                f"clock_lag_s must be positive, got {self.clock_lag_s}"
             )
 
     @cached_property
@@ -156,29 +143,6 @@ class ShardPlan:
         return ShardInfo(
             partition=partition, virtual_partitions=self.virtual_partitions
         )
-
-
-def partition_spec(spec: ArchitectureSpec, partition: int) -> ArchitectureSpec:
-    """The factory spec for one virtual partition's architecture.
-
-    Rewrites every :class:`~repro.cache.policy.PolicySpec` keyword
-    through :meth:`~repro.cache.policy.PolicySpec.for_partition`, so the
-    Random policy's victim streams are decorrelated across partitions by
-    stable identity.  Everything else passes through unchanged -- every
-    partition gets the full topology (same proxy fabric, same per-node
-    capacities over its slice of the object space).
-    """
-    from repro.cache.policy import PolicySpec
-
-    rewritten = {
-        key: value.for_partition(partition)
-        if isinstance(value, PolicySpec)
-        else value
-        for key, value in spec.kwargs.items()
-    }
-    if rewritten == spec.kwargs:
-        return spec
-    return ArchitectureSpec(spec.factory, spec.args, rewritten)
 
 
 def split_trace(trace: Trace, plan: ShardPlan) -> list[Trace]:
@@ -220,25 +184,30 @@ def split_trace(trace: Trace, plan: ShardPlan) -> list[Trace]:
     return sub_traces
 
 
-def advance_bounded_lag(
-    steppers: Sequence[SimulationStepper], lag_s: float
-) -> None:
-    """Drive several steppers under the bounded-lag virtual clock.
-
-    Repeatedly advances every unfinished stepper -- in the fixed order
-    given -- to ``min(next event time) + lag_s``, so no partition's clock
-    ever exceeds the globally slowest by more than the lag window.  Each
-    pass drains at least the slowest stepper's next request, so the loop
-    terminates after finitely many passes.
-    """
-    if lag_s <= 0:
-        raise ValueError(f"lag_s must be positive, got {lag_s}")
-    active = [stepper for stepper in steppers if not stepper.exhausted]
-    while active:
-        horizon = min(stepper.next_time for stepper in active) + lag_s
-        for stepper in active:
-            stepper.advance(horizon)
-        active = [stepper for stepper in active if not stepper.exhausted]
+def _coupling_reason(architecture: Architecture) -> str | None:
+    """Why ``architecture`` couples objects, so cannot be split by object."""
+    caches = [
+        *(getattr(architecture, "l1_caches", None) or ()),
+        *(getattr(architecture, "l2_caches", None) or ()),
+    ]
+    l3 = getattr(architecture, "l3_cache", None)
+    if l3 is not None:
+        caches.append(l3)
+    if any(cache.capacity_bytes is not None for cache in caches):
+        return "a bounded data cache's evictions couple objects"
+    directory = getattr(architecture, "directory", None)
+    if directory is not None and directory.capacity_bytes is not None:
+        return "a bounded hint directory's set conflicts couple objects"
+    if isinstance(architecture, MessageLevelHintHierarchy):
+        return "message-level hint flush jitter draws from a shared random stream"
+    if getattr(architecture, "client_false_negative_rate", 0.0) > 0.0:
+        return "client-hint false negatives draw from a shared random stream"
+    push = getattr(architecture, "push_policy", None)
+    if isinstance(push, HierarchicalPushOnMiss) and push.mode != "push-all":
+        return f"{push.mode} targets draw from a shared random stream"
+    if isinstance(push, UpdatePush) and push.max_bandwidth_bytes_per_s is not None:
+        return "a capped update push shares one bandwidth budget across objects"
+    return None
 
 
 @dataclass
@@ -279,37 +248,6 @@ class ShardedComparison:
         return max(per_shard)
 
 
-def _simulate_partition(
-    sub_trace: Trace,
-    architecture: Architecture,
-    *,
-    warmup_s: float | None,
-    include_uncachable: bool,
-    fault_plan: "FaultPlan | None",
-    telemetry,
-    engine: str,
-) -> SimulationStepper | SimMetrics:
-    """One partition's run: a stepper (reference) or finished metrics (fast)."""
-    if engine == "reference":
-        return SimulationStepper(
-            sub_trace,
-            architecture,
-            warmup_s=warmup_s,
-            include_uncachable=include_uncachable,
-            fault_plan=fault_plan,
-            telemetry=telemetry,
-        )
-    return run_simulation(
-        sub_trace,
-        architecture,
-        warmup_s=warmup_s,
-        include_uncachable=include_uncachable,
-        fault_plan=fault_plan,
-        telemetry=telemetry,
-        engine=engine,
-    )
-
-
 def _shard_task(
     profile: WorkloadProfile,
     seed: int,
@@ -318,72 +256,43 @@ def _shard_task(
     plan: ShardPlan,
     warmup_s: float | None,
     include_uncachable: bool,
-    fault_plan: "FaultPlan | None",
+    fault_plan: FaultPlan | None,
     collect_timeline: bool,
     timeline_bin_s: float,
     engine: str,
 ) -> list[tuple[int, SimMetrics, list[dict] | None, int]]:
     """One (architecture, shard) work unit.
 
-    Runs every virtual partition the shard owns and returns the
-    *unmerged* per-partition results ``(partition, metrics, timeline
-    rows, distinct objects)`` -- merging happens in the coordinator, in
-    canonical partition order, so the fold order never depends on which
-    worker ran what.
-
-    Under ``engine="reference"`` the shard's partitions run interleaved
-    through :func:`advance_bounded_lag`; the fast engine runs each
-    partition's columnar batch whole (partitions share no object state,
-    so the schedules are observably equivalent -- pinned by the
-    engine-invariance test).
+    Runs every virtual partition the shard owns through
+    :func:`~repro.sim.engine.run_simulation` and returns the *unmerged*
+    per-partition results ``(partition, metrics, timeline rows, distinct
+    objects)`` -- merging happens in the coordinator, in canonical
+    partition order, so the fold order never depends on which worker ran
+    what.
     """
     trace = cached_trace(profile, seed)
-    owned = plan.partitions_of_shard(shard)
     sub_traces = split_trace(trace, plan)
-
-    telemetry_for = {}
-    runs: list[tuple[int, SimulationStepper | SimMetrics]] = []
-    for partition in owned:
-        architecture = partition_spec(spec, partition).build()
+    results = []
+    for partition in plan.partitions_of_shard(shard):
+        architecture = spec.build()
         architecture.bind_shard(plan.shard_info(partition))
         telemetry = None
         if collect_timeline:
             from repro.obs.telemetry import RunTelemetry
 
             telemetry = RunTelemetry(bin_s=timeline_bin_s)
-            telemetry_for[partition] = telemetry
-        runs.append(
-            (
-                partition,
-                _simulate_partition(
-                    sub_traces[partition],
-                    architecture,
-                    warmup_s=warmup_s,
-                    include_uncachable=include_uncachable,
-                    fault_plan=fault_plan,
-                    telemetry=telemetry,
-                    engine=engine,
-                ),
-            )
+        metrics = run_simulation(
+            sub_traces[partition],
+            architecture,
+            warmup_s=warmup_s,
+            include_uncachable=include_uncachable,
+            fault_plan=fault_plan,
+            telemetry=telemetry,
+            engine=engine,
         )
-    advance_bounded_lag(
-        [run for _, run in runs if isinstance(run, SimulationStepper)],
-        plan.clock_lag_s,
-    )
-
-    results = []
-    for partition, run in runs:
-        metrics = run.finish() if isinstance(run, SimulationStepper) else run
-        rows = (
-            list(telemetry_for[partition].rows) if collect_timeline else None
-        )
+        rows = list(telemetry.rows) if telemetry is not None else None
         results.append(
-            (
-                partition,
-                metrics,
-                rows,
-                sub_traces[partition].distinct_objects(),
-            )
+            (partition, metrics, rows, sub_traces[partition].distinct_objects())
         )
     return results
 
@@ -395,12 +304,11 @@ def run_comparison_sharded(
     *,
     shards: int,
     virtual_partitions: int = DEFAULT_VIRTUAL_PARTITIONS,
-    clock_lag_s: float = 3600.0,
     jobs: int = 1,
     warmup_s: float | None = None,
     include_uncachable: bool = False,
     trace_cache_dir: str | None = None,
-    fault_plan: "FaultPlan | None" = None,
+    fault_plan: FaultPlan | None = None,
     timeline_dir: str | None = None,
     timeline_bin_s: float = 3600.0,
     engine: str = "reference",
@@ -409,10 +317,14 @@ def run_comparison_sharded(
 
     Fans ``len(specs) * shards`` work units into the process pool (one
     per architecture per shard; ``jobs=1`` runs them inline) and merges
-    the per-partition outputs in canonical partition order.  Results are
-    bit-identical for any ``shards`` (given the same
-    ``virtual_partitions``), any ``jobs``, and any ``clock_lag_s`` --
-    the shard-count-invariance pins assert exactly this.
+    the per-partition outputs in canonical partition order.  Results
+    equal the unsharded :func:`~repro.runner.parallel.run_comparison_parallel`
+    (float latency sums up to their addition order) and are bit-identical
+    for any ``shards`` and any ``jobs``.
+
+    Raises ``ValueError`` before any worker is spawned when a spec or the
+    fault plan couples objects (see the module docstring): such a run
+    cannot be split by object without changing its answer.
 
     ``timeline_dir`` mirrors the parallel runner: merged per-bin rows
     land in ``<timeline_dir>/<architecture>.jsonl``, canonical JSONL,
@@ -420,20 +332,31 @@ def run_comparison_sharded(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    plan = ShardPlan(
-        shards=shards,
-        virtual_partitions=virtual_partitions,
-        clock_lag_s=clock_lag_s,
-    )
-    if engine == "fast":
-        # Same pre-flight as the parallel runner: fail with the serial
-        # path's error before any worker is spawned.
-        from repro.sim.fastpath import fast_unsupported_reason
+    plan = ShardPlan(shards=shards, virtual_partitions=virtual_partitions)
+    # Pre-flight, before any worker is spawned: building a spec is cheap
+    # (empty caches), and a refusal here beats an in-worker traceback.
+    if fault_plan is not None and any(
+        isinstance(event, HintBatchLoss) and event.prob > 0.0
+        for event in fault_plan.events
+    ):
+        raise ValueError(
+            "cannot shard under HintBatchLoss: its loss coins draw from a "
+            "shared random stream; run it unsharded"
+        )
+    for spec in specs:
+        architecture = spec.build()
+        if engine == "fast":
+            from repro.sim.fastpath import fast_unsupported_reason
 
-        for spec in specs:
-            reason = fast_unsupported_reason(spec.build())
+            reason = fast_unsupported_reason(architecture)
             if reason is not None:
                 raise ValueError(reason)
+        reason = _coupling_reason(architecture)
+        if reason is not None:
+            raise ValueError(
+                f"cannot shard {architecture.name!r}: {reason}; "
+                "run it unsharded"
+            )
     collect_timeline = timeline_dir is not None
 
     tasks = [

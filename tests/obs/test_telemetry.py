@@ -8,6 +8,7 @@ from repro.obs.telemetry import (
     ConvergenceReport,
     MetricsRegistry,
     Timeline,
+    merge_timeline_rows,
     parse_metric_key,
     render_metric_key,
     warmup_convergence,
@@ -246,3 +247,26 @@ class TestWarmupConvergence:
         assert not report.converged
         assert report.converged_at_s is None
         assert "no requests" in report.summary_line()
+
+
+class TestMergeTimelineRows:
+    UP = 'repro_node_up{arch="t",kind="l2",node="0"}'
+    OCCUPANCY = 'repro_cache_occupancy_bytes{arch="t",level="l1",node="0"}'
+
+    def partition(self, up, occupancy, requests):
+        row = _row(0, 10.0, _requests("measured", "L1", requests))
+        row["gauges"] = {self.UP: up, self.OCCUPANCY: occupancy}
+        return [row]
+
+    def test_fault_plan_gauges_merge_to_their_common_value(self):
+        (merged,) = merge_timeline_rows(
+            [self.partition(0.0, 100.0, 3), self.partition(0.0, 50.0, 4)]
+        )
+        assert merged["gauges"] == {self.OCCUPANCY: 150.0, self.UP: 0.0}
+        assert list(merged["counters"].values()) == [7]
+
+    def test_disagreeing_fault_plan_gauges_raise(self):
+        with pytest.raises(ValueError, match="disagree"):
+            merge_timeline_rows(
+                [self.partition(0.0, 1.0, 1), self.partition(1.0, 1.0, 1)]
+            )

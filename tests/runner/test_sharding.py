@@ -1,40 +1,45 @@
-"""Sharded runner: shard-count invariance is the whole contract.
+"""Sharded runner: sharded == unsharded is the whole contract.
 
-The headline pins: ``run_comparison_sharded(shards=1)`` and
-``shards=4`` produce *equal* :class:`SimMetrics` (full dataclass
-equality, histograms included) and byte-identical timeline files, for
-any job count, any bounded-lag window, under replacement-policy
-pressure, and under fault plans.  Partitions share no object state and
-the coordinator folds them in canonical order, so nothing about the
-physical layout may leak into results.
+The headline pins compare ``run_comparison_sharded`` against the
+unsharded :func:`run_comparison_parallel` over the same trace: full
+:class:`SimMetrics` equality for hierarchy, ICP and the directory, clean
+and under a fault plan, and for hints everything but the float latency
+sums, which the merge adds in a different order.  Merged timeline rows
+equal the unsharded rows byte for byte.  Between sharded runs the pins
+are stricter still: ``shards=1``, ``shards=4`` and ``jobs=4`` are
+bit-identical.  Every configuration that couples objects is refused
+before any worker starts.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import filecmp
+import math
 import os
 
 import pytest
 
 from repro.cache.policy import PolicySpec
 from repro.common.errors import ShardRoutingError
-from repro.common.ids import mix64, partition_of_object, partitions_of_objects
+from repro.common.ids import partition_of_object, partitions_of_objects
+from repro.experiments.cli import main
 from repro.faults import FaultPlan, NodeCrash, OriginSlowdown
+from repro.faults.events import HintBatchLoss, LinkDegrade, NodeRecover, StaleHintDrift
 from repro.hierarchy.base import ShardInfo
+from repro.hierarchy.client_hints import ClientHintHierarchy
 from repro.hierarchy.data_hierarchy import DataHierarchy
 from repro.hierarchy.directory_arch import CentralizedDirectoryArchitecture
 from repro.hierarchy.hint_hierarchy import HintHierarchy
 from repro.hierarchy.icp import IcpHierarchy
+from repro.hierarchy.message_hints import MessageLevelHintHierarchy
 from repro.netmodel.testbed import TestbedCostModel
-from repro.runner.sharding import (
-    ShardPlan,
-    advance_bounded_lag,
-    partition_spec,
-    run_comparison_sharded,
-    split_trace,
-)
+from repro.push.hierarchical import HierarchicalPushOnMiss
+from repro.push.update_push import UpdatePush
+from repro.runner import sharding
+from repro.runner.parallel import run_comparison_parallel
+from repro.runner.sharding import ShardPlan, run_comparison_sharded, split_trace
 from repro.runner.specs import ArchitectureSpec
-from repro.sim.engine import SimulationStepper
 from tests.conftest import make_tiny_config
 
 ARCHITECTURES = {
@@ -43,6 +48,20 @@ ARCHITECTURES = {
     "hints": HintHierarchy,
     "directory": CentralizedDirectoryArchitecture,
 }
+
+#: Architectures whose sharded metrics equal the unsharded ones exactly.
+EXACT = ("hierarchy", "icp", "directory")
+
+#: Crash, recover and slow the origin: every partition replays the plan.
+FAULT_PLAN = FaultPlan(
+    events=(
+        NodeCrash(time=0.0, kind="l2", node=0),
+        NodeCrash(time=3600.0, kind="l1", node=1),
+        OriginSlowdown(time=3600.0, factor=2.0),
+        NodeRecover(time=30 * 3600.0, kind="l1", node=1),
+    ),
+    seed=7,
+)
 
 
 def standard_specs(config):
@@ -53,6 +72,33 @@ def standard_specs(config):
     ]
 
 
+def unsharded(config, specs, **kwargs):
+    return run_comparison_parallel(
+        config.profile("dec"), config.seed, specs, **kwargs
+    )
+
+
+def assert_equal_up_to_fold_order(sharded, reference):
+    """Equal in every field but the float latency sums, which match closely.
+
+    The merge adds per-partition sums in partition order, the unsharded
+    run adds per request in trace order; float addition is not
+    associative, so ``total_ms`` and the per-step ``total_ms`` can differ
+    in their last bits (order-exact sums are ROADMAP 1(b)).
+    """
+    assert math.isclose(sharded.total_ms, reference.total_ms, rel_tol=1e-12)
+    assert sharded.steps.keys() == reference.steps.keys()
+    for kind, step in sharded.steps.items():
+        other = reference.steps[kind]
+        assert math.isclose(step.total_ms, other.total_ms, rel_tol=1e-12), kind
+        assert dataclasses.replace(step, total_ms=0.0) == dataclasses.replace(
+            other, total_ms=0.0
+        ), kind
+    assert dataclasses.replace(
+        sharded, total_ms=0.0, steps={}
+    ) == dataclasses.replace(reference, total_ms=0.0, steps={})
+
+
 class TestShardPlan:
     def test_rejects_zero_shards(self):
         with pytest.raises(ValueError, match="shards"):
@@ -61,10 +107,6 @@ class TestShardPlan:
     def test_rejects_more_shards_than_partitions(self):
         with pytest.raises(ValueError, match="virtual_partitions"):
             ShardPlan(shards=5, virtual_partitions=4)
-
-    def test_rejects_non_positive_lag(self):
-        with pytest.raises(ValueError, match="clock_lag_s"):
-            ShardPlan(shards=1, clock_lag_s=0.0)
 
     @pytest.mark.parametrize("shards", [1, 2, 3, 4, 7, 16])
     def test_ownership_partitions_the_partition_set(self, shards):
@@ -110,29 +152,6 @@ class TestPartitionHashing:
             vector[:200]
         )
 
-    def test_for_partition_reseeds_only_random(self):
-        lru = PolicySpec("lru")
-        assert lru.for_partition(3) is lru
-        random = PolicySpec("random", seed=99)
-        reseeded = random.for_partition(3)
-        assert reseeded.name == "random"
-        assert reseeded.seed == mix64(99, 3)
-        assert random.for_partition(3) == reseeded  # stable identity
-
-    def test_partition_spec_rewrites_policy_kwargs_only(self):
-        config = make_tiny_config()
-        spec = ArchitectureSpec(
-            DataHierarchy,
-            (config.topology, TestbedCostModel()),
-            dict(l1_bytes=1024, l1_policy=PolicySpec("random", seed=5)),
-        )
-        rewritten = partition_spec(spec, 7)
-        assert rewritten.kwargs["l1_bytes"] == 1024
-        assert rewritten.kwargs["l1_policy"].seed == mix64(5, 7)
-        # No PolicySpec kwargs -> the spec passes through untouched.
-        plain = ArchitectureSpec(DataHierarchy, spec.args)
-        assert partition_spec(plain, 7) is plain
-
 
 class TestSplitTrace:
     def test_partitions_cover_the_trace(self, dec_trace):
@@ -154,27 +173,6 @@ class TestSplitTrace:
             assert (times[1:] >= times[:-1]).all()
 
 
-class TestBoundedLag:
-    def test_lag_window_yields_full_drain_metrics(self, dec_trace, tiny_config):
-        plan = ShardPlan(shards=1, virtual_partitions=4, clock_lag_s=60.0)
-        subs = split_trace(dec_trace, plan)
-
-        def steppers():
-            return [
-                SimulationStepper(
-                    sub, DataHierarchy(tiny_config.topology, TestbedCostModel())
-                )
-                for sub in subs
-            ]
-
-        round_robin = steppers()
-        advance_bounded_lag(round_robin, lag_s=60.0)
-        one_shot = steppers()
-        advance_bounded_lag(one_shot, lag_s=10 * dec_trace.duration)
-        for tight, loose in zip(round_robin, one_shot):
-            assert tight.finish() == loose.finish()
-
-
 @pytest.fixture(scope="module")
 def tiny_comparisons(tmp_path_factory):
     """shards=1 and shards=4 runs of the full matrix (shared, read-only)."""
@@ -191,6 +189,102 @@ def tiny_comparisons(tmp_path_factory):
             timeline_dir=timeline_dir,
         )
     return runs
+
+
+class TestMatchesUnsharded:
+    def test_clean_run(self, tiny_comparisons):
+        config = make_tiny_config()
+        reference = unsharded(config, standard_specs(config))
+        sharded = tiny_comparisons[4].results
+        assert list(sharded) == list(reference) == list(ARCHITECTURES)
+        for name in EXACT:
+            assert sharded[name] == reference[name], name
+        assert_equal_up_to_fold_order(sharded["hints"], reference["hints"])
+
+    def test_fault_plan(self):
+        config = make_tiny_config()
+        specs = standard_specs(config)
+        reference = unsharded(config, specs, fault_plan=FAULT_PLAN)
+        sharded = run_comparison_sharded(
+            config.profile("dec"),
+            config.seed,
+            specs,
+            shards=2,
+            fault_plan=FAULT_PLAN,
+        ).results
+        for name in EXACT:
+            assert sharded[name] == reference[name], name
+        assert_equal_up_to_fold_order(sharded["hints"], reference["hints"])
+        degraded = sharded["hierarchy"].degraded
+        assert degraded.fault_added_ms > 0 or degraded.timeout_fallbacks > 0
+
+    def test_timeline_rows_under_fault_plan(self, tmp_path):
+        # The fault-plan gauges (node up, latency and origin multipliers)
+        # mirror one plan into every partition: merged, they must read as
+        # the unsharded run's values, not as partition-count multiples.
+        config = make_tiny_config()
+        specs = standard_specs(config)[:1]
+        unsharded(
+            config, specs, fault_plan=FAULT_PLAN, timeline_dir=str(tmp_path / "one")
+        )
+        run_comparison_sharded(
+            config.profile("dec"),
+            config.seed,
+            specs,
+            shards=2,
+            fault_plan=FAULT_PLAN,
+            timeline_dir=str(tmp_path / "sharded"),
+        )
+        assert filecmp.cmp(
+            tmp_path / "one" / "hierarchy.jsonl",
+            tmp_path / "sharded" / "hierarchy.jsonl",
+            shallow=False,
+        )
+
+    def test_accepted_variants(self):
+        # Every non-standard configuration the refusal check lets through.
+        config = make_tiny_config()
+        topology, cost = config.topology, TestbedCostModel()
+        specs = [
+            ArchitectureSpec(ClientHintHierarchy, (topology, cost)),
+            ArchitectureSpec(
+                HintHierarchy,
+                (topology, cost),
+                dict(push_policy=HierarchicalPushOnMiss(topology, "push-all")),
+            ),
+            ArchitectureSpec(
+                HintHierarchy,
+                (topology, cost),
+                dict(push_policy=UpdatePush(age_pushed_entries=True)),
+            ),
+            ArchitectureSpec(
+                HintHierarchy, (topology, cost), dict(charge_remote_as_l1=True)
+            ),
+            ArchitectureSpec(
+                DataHierarchy, (topology, cost), dict(l1_policy=PolicySpec("random"))
+            ),
+        ]
+        plan = FaultPlan(
+            events=(
+                *FAULT_PLAN.events,
+                HintBatchLoss(time=0.0, prob=0.0),
+                StaleHintDrift(time=3600.0, ttl_skew_s=600.0),
+                LinkDegrade(time=7200.0, latency_mult=1.5),
+            ),
+            seed=7,
+        )
+        for fault_plan in (None, plan):
+            reference = unsharded(config, specs, fault_plan=fault_plan)
+            sharded = run_comparison_sharded(
+                config.profile("dec"),
+                config.seed,
+                specs,
+                shards=2,
+                fault_plan=fault_plan,
+            ).results
+            assert list(sharded) == list(reference)
+            for name, metrics in sharded.items():
+                assert_equal_up_to_fold_order(metrics, reference[name])
 
 
 class TestShardCountInvariance:
@@ -218,17 +312,6 @@ class TestShardCountInvariance:
         for comparison in tiny_comparisons.values():
             assert sum(comparison.partition_requests) == len(dec_trace.requests)
             comparison.results["hierarchy"].validate()
-
-    def test_lag_value_never_changes_results(self, tiny_comparisons):
-        config = make_tiny_config()
-        tight = run_comparison_sharded(
-            config.profile("dec"),
-            config.seed,
-            standard_specs(config),
-            shards=3,
-            clock_lag_s=5.0,
-        )
-        assert tight.results == tiny_comparisons[1].results
 
     def test_jobs_and_timeline_files_identical(self, tmp_path, tiny_comparisons):
         config = make_tiny_config()
@@ -259,43 +342,8 @@ class TestShardCountInvariance:
                 shallow=False,
             ), name
 
-    def test_random_policy_invariant_under_capacity_pressure(self):
-        # Satellite: per-node Random seeds derive from stable identity
-        # plus the partition id, never from shard layout -- so even the
-        # stochastic policy pins across shard counts.
-        config = make_tiny_config()
-        kwargs = dict(
-            l1_bytes=256 * 1024,
-            l2_bytes=256 * 1024,
-            l3_bytes=256 * 1024,
-            l1_policy=PolicySpec("random", seed=41),
-            l2_policy=PolicySpec("random", seed=42),
-            l3_policy=PolicySpec("random", seed=43),
-        )
-        specs = [
-            ArchitectureSpec(
-                DataHierarchy, (config.topology, TestbedCostModel()), kwargs
-            )
-        ]
-        runs = {
-            shards: run_comparison_sharded(
-                config.profile("dec"), config.seed, specs, shards=shards
-            )
-            for shards in (1, 4)
-        }
-        result = runs[1].results["hierarchy"]
-        assert result == runs[4].results["hierarchy"]
-        assert result.measured_requests > 0
-
     def test_fault_plan_invariant(self):
         config = make_tiny_config()
-        plan = FaultPlan(
-            events=(
-                NodeCrash(time=0.0, kind="l2", node=0),
-                OriginSlowdown(time=3600.0, factor=2.0),
-            ),
-            seed=config.seed,
-        )
         specs = standard_specs(config)[:2]
         runs = {
             shards: run_comparison_sharded(
@@ -303,13 +351,11 @@ class TestShardCountInvariance:
                 config.seed,
                 specs,
                 shards=shards,
-                fault_plan=plan,
+                fault_plan=FAULT_PLAN,
             )
             for shards in (1, 2)
         }
         assert runs[1].results == runs[2].results
-        degraded = runs[1].results["hierarchy"].degraded
-        assert degraded.fault_added_ms > 0 or degraded.timeout_fallbacks > 0
 
     def test_fast_engine_matches_reference(self, tiny_comparisons):
         config = make_tiny_config()
@@ -340,6 +386,84 @@ class TestShardCountInvariance:
                 shards=1,
                 jobs=0,
             )
+
+
+class TestRefusals:
+    """Each configuration that couples objects is refused before any work."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def started(*args, **kwargs):
+            raise AssertionError("a shard task or worker pool was started")
+
+        monkeypatch.setattr(sharding, "ProcessPoolExecutor", started)
+        monkeypatch.setattr(sharding, "_shard_task", started)
+
+    @staticmethod
+    def refuse(spec, match, fault_plan=None):
+        config = make_tiny_config()
+        with pytest.raises(ValueError, match=match):
+            run_comparison_sharded(
+                config.profile("dec"),
+                config.seed,
+                [ArchitectureSpec(DataHierarchy, (config.topology, TestbedCostModel())), spec],
+                shards=2,
+                jobs=2,
+                fault_plan=fault_plan,
+            )
+
+    @staticmethod
+    def spec(cls, **kwargs):
+        config = make_tiny_config()
+        return ArchitectureSpec(cls, (config.topology, TestbedCostModel()), kwargs)
+
+    def test_bounded_data_caches_refused(self):
+        for policy in ("lru", "random"):
+            for level in ("l1", "l2", "l3"):
+                spec = self.spec(
+                    DataHierarchy,
+                    **{f"{level}_bytes": 256 * 1024, f"{level}_policy": PolicySpec(policy)},
+                )
+                self.refuse(spec, "bounded data cache")
+        self.refuse(self.spec(IcpHierarchy, l2_bytes=1 << 20), "bounded data cache")
+        self.refuse(self.spec(HintHierarchy, l1_bytes=1 << 20), "bounded data cache")
+
+    def test_bounded_hint_directory_refused(self):
+        self.refuse(
+            self.spec(HintHierarchy, hint_capacity_bytes=64 * 1024),
+            "bounded hint directory",
+        )
+
+    def test_client_hint_false_negatives_refused(self):
+        self.refuse(
+            self.spec(ClientHintHierarchy, client_false_negative_rate=0.3),
+            "client-hint false negatives",
+        )
+
+    def test_hint_batch_loss_refused(self):
+        plan = FaultPlan(events=(HintBatchLoss(time=0.0, prob=0.5),), seed=7)
+        self.refuse(self.spec(HintHierarchy), "HintBatchLoss", fault_plan=plan)
+
+    def test_random_target_push_refused(self):
+        config = make_tiny_config()
+        for mode in ("push-1", "push-half"):
+            push = HierarchicalPushOnMiss(config.topology, mode)
+            self.refuse(self.spec(HintHierarchy, push_policy=push), f"{mode} targets")
+
+    def test_message_level_hints_refused(self):
+        self.refuse(self.spec(MessageLevelHintHierarchy), "flush jitter")
+
+    def test_capped_update_push_refused(self):
+        push = UpdatePush(max_bandwidth_bytes_per_s=1e6)
+        self.refuse(self.spec(HintHierarchy, push_policy=push), "bandwidth budget")
+
+    def test_cli_refuses_policy_capacities(self, capsys):
+        code = main(
+            ["decompose", "--scale", "0.0002", "--shards", "2", "--policy", "lru"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot shard" in err and "bounded data cache" in err
 
 
 class TestShardRouting:
