@@ -321,55 +321,25 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _standard_architectures(config, cost, policy_arg):
-    """Build the standard four, honouring a ``--policy`` map when given.
-
-    Without ``--policy`` this is the historical unbounded construction
-    (byte-identical results).  With it, the space-constrained capacities
-    apply -- replacement policies only differ under capacity pressure, so
-    an unbounded policy run would be indistinguishable from LRU -- with
-    the paper's sizing: every data-hierarchy node gets ``l1_cache_bytes``
-    (the Figure 8(b) uniform 5 GB, scaled) and hint-style L1 nodes get
-    ``hint_data_cache_bytes``.  Hint-style architectures store data only
-    at L1, so only the map's ``l1`` entry reaches them.
-    """
-    from repro.hierarchy.data_hierarchy import DataHierarchy
-    from repro.hierarchy.directory_arch import CentralizedDirectoryArchitecture
-    from repro.hierarchy.hint_hierarchy import HintHierarchy
-    from repro.hierarchy.icp import IcpHierarchy
-
-    if policy_arg is None:
-        return [
-            DataHierarchy(config.topology, cost),
-            IcpHierarchy(config.topology, cost),
-            HintHierarchy(config.topology, cost),
-            CentralizedDirectoryArchitecture(config.topology, cost),
-        ]
-    from repro.cache.policy import parse_policy_map
-
-    policies = parse_policy_map(policy_arg)
-    data_kwargs = dict(
-        l1_bytes=config.l1_cache_bytes,
-        l2_bytes=config.l1_cache_bytes,
-        l3_bytes=config.l1_cache_bytes,
-        l1_policy=policies.get("l1"),
-        l2_policy=policies.get("l2"),
-        l3_policy=policies.get("l3"),
-    )
-    hint_kwargs = dict(
-        l1_bytes=config.hint_data_cache_bytes, l1_policy=policies.get("l1")
-    )
-    return [
-        DataHierarchy(config.topology, cost, **data_kwargs),
-        IcpHierarchy(config.topology, cost, **data_kwargs),
-        HintHierarchy(config.topology, cost, **hint_kwargs),
-        CentralizedDirectoryArchitecture(config.topology, cost, **hint_kwargs),
-    ]
+    """Build the standard four, honouring a ``--policy`` map when given
+    (fresh instances of :func:`_standard_specs`)."""
+    return [spec.build() for spec in _standard_specs(config, cost, policy_arg)]
 
 
 def _standard_specs(config, cost, policy_arg):
-    """Picklable :class:`~repro.runner.specs.ArchitectureSpec` twins of
-    :func:`_standard_architectures` (the ``profile`` verb fans out through
-    ``run_comparison_parallel``, which builds architectures in workers)."""
+    """The standard four as picklable
+    :class:`~repro.runner.specs.ArchitectureSpec` factories (the parallel
+    and sharded runners build architectures in workers).
+
+    Without ``--policy`` this is the historical unbounded construction.
+    With it, the space-constrained capacities apply -- replacement
+    policies only differ under capacity pressure, so an unbounded policy
+    run would be indistinguishable from LRU -- with the paper's sizing:
+    every data-hierarchy node gets ``l1_cache_bytes`` (the Figure 8(b)
+    uniform 5 GB, scaled) and hint-style L1 nodes get
+    ``hint_data_cache_bytes``.  Hint-style architectures store data only
+    at L1, so only the map's ``l1`` entry reaches them.
+    """
     from repro.hierarchy.data_hierarchy import DataHierarchy
     from repro.hierarchy.directory_arch import CentralizedDirectoryArchitecture
     from repro.hierarchy.hint_hierarchy import HintHierarchy

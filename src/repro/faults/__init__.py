@@ -24,8 +24,10 @@ measurable for **any** architecture run:
   ``examples/failure_drill.py``).
 
 Injection is strictly opt-in: ``run_simulation(trace, arch)`` without a
-plan takes the exact code path it always did and produces byte-identical
-metrics.
+plan charges exactly the healthy model and produces byte-identical
+metrics.  Architectures whose request walk does not model faults (push
+policies, ideal-push accounting, client and message-level hints) refuse
+a non-empty plan when the injector binds, before their first request.
 """
 
 from repro.faults.events import (

@@ -40,6 +40,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.hierarchy.base import Architecture
 
 
+def check_fault_model(architecture: "Architecture") -> None:
+    """Raise ``ValueError`` unless ``architecture``'s walk models faults.
+
+    A plan on a walk without fault sites would run as if healthy (or
+    quietly drop part of the model), so it is refused instead.  The
+    sharded runner calls this as a pre-flight, before any worker starts.
+    """
+    reason = architecture.fault_unsupported_reason()
+    if reason is not None:
+        raise ValueError(f"cannot inject faults into {architecture.name!r}: {reason}")
+
+
 @dataclass
 class FaultStats:
     """What the injector did to one run (plan-side view of degradation)."""
@@ -98,7 +110,13 @@ class FaultInjector:
     # wiring
     # ------------------------------------------------------------------
     def bind(self, architecture: "Architecture") -> None:
-        """Attach to an architecture: it will see crash/recover callbacks."""
+        """Attach to an architecture: it will see crash/recover callbacks.
+
+        Every plan reaches an architecture through here, so this is where
+        a walk that does not model faults is refused (see
+        :func:`check_fault_model`) -- before its first request.
+        """
+        check_fault_model(architecture)
         if architecture not in self._bound:
             self._bound.append(architecture)
         architecture.attach_faults(self)

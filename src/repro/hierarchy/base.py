@@ -177,9 +177,9 @@ class Architecture(abc.ABC):
         #: runs check, since reusing a warmed architecture biases results.
         self.processed_requests = 0
         #: Bound fault injector, or None (the default healthy case).  Set
-        #: via :meth:`attach_faults`; architectures branch to their
-        #: fault-aware request path only when this is not None, so a
-        #: plan-free run takes exactly the original code path.
+        #: via :meth:`attach_faults`.  Each ``process`` is one fault-aware
+        #: walk whose fault sites check this inline, so a healthy run pays
+        #: one pointer check per site and charges the base costs exactly.
         self.faults: "FaultInjector | None" = None
         #: Bound audit hooks, or None (the default).  Set via
         #: :meth:`attach_audit`; architectures call
@@ -203,6 +203,46 @@ class Architecture(abc.ABC):
     def attach_faults(self, injector: "FaultInjector") -> None:
         """Opt this instance into fault injection for the coming run."""
         self.faults = injector
+
+    def fault_unsupported_reason(self) -> str | None:
+        """Why this walk does not model faults, or None when it does.
+
+        :meth:`repro.faults.injector.FaultInjector.bind` refuses an
+        architecture that returns a reason, so a plan can never be
+        silently ignored.  Subclasses whose ``process`` has no fault
+        sites (or skips some of its own accounting under faults)
+        override this.
+        """
+        return None
+
+    def _charge(self, base_ms: float, *, origin: bool = False) -> tuple[float, float]:
+        """``(charged_ms, fault_added_ms)`` for one hop.
+
+        Healthy runs charge ``base_ms`` unchanged; under a plan the
+        injector inflates it by the link multiplier (and the origin
+        slowdown when ``origin``).
+        """
+        if self.faults is None:
+            return base_ms, 0.0
+        return self.faults.degraded_ms(base_ms, origin=origin)
+
+    def _timeout_to_origin(
+        self, journey: "Journey", origin_ms: float, *, target: str, stale: bool = False
+    ) -> AccessResult:
+        """Finish a walk blocked by a dead node: wait out its timeout,
+        then fetch from the origin server.
+
+        ``journey`` carries the steps already charged; ``origin_ms`` is
+        the architecture's healthy origin-fetch charge, inflated here by
+        the current fault conditions.  ``stale`` marks a dead node that
+        stale metadata sent the request to (a wasted forward).
+        """
+        faults = self.faults
+        faults.note_dead_probe()
+        charged, added = faults.degraded_ms(origin_ms, origin=True)
+        journey.timeout(faults.timeout_ms, target=target, stale=stale)
+        journey.origin_fetch(charged, fault_ms=added)
+        return journey.result(AccessPoint.SERVER, hit=False)
 
     def on_fault_crash(self, kind: "NodeKind", node: int) -> None:
         """Injector callback: node ``(kind, node)`` just crashed.

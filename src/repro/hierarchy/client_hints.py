@@ -72,6 +72,9 @@ class ClientHintHierarchy(Architecture):
             policy=l1_policy,
         )
 
+    def fault_unsupported_reason(self) -> str | None:
+        return "the client-hint walk has no fault sites"
+
     def process(self, request: Request) -> AccessResult:
         if self.audit is not None:
             self.audit.checkpoint(self)

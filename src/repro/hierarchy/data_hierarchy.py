@@ -82,56 +82,86 @@ class DataHierarchy(Architecture):
         )
 
     def process(self, request: Request) -> AccessResult:
+        """The walk up the fixed chain of parents.
+
+        Under a fault plan a dead node on the chain costs its timeout,
+        then the request completes as a full hierarchical origin fetch,
+        so a faulted request is never cheaper than its healthy
+        counterpart.  Dead caches are neither read nor written -- their
+        subtree refills only after recovery.
+        """
         if self.audit is not None:
             self.audit.checkpoint(self)
         if self.shard is not None:
             self.check_shard_owns(request.object_id)
-        if self.faults is not None:
-            return self._process_faulted(request)
+        faults = self.faults
         l1_index = self.topology.l1_of_client(request.client_id)
         l2_index = self.topology.l2_of_l1(l1_index)
-        l1 = self.l1_caches[l1_index]
-        l2 = self.l2_caches[l2_index]
-        l3 = self.l3_cache
         oid, version, size = request.object_id, request.version, request.size
+        cost = self.cost_model
 
-        if l1.lookup(oid, version) is LookupResult.HIT:
-            journey = Journey()
-            journey.local_lookup(
-                self.cost_model.hierarchical_ms(AccessPoint.L1, size),
+        if faults is not None and faults.is_down("l1", l1_index):
+            # The client's own proxy is dead: wait out the timeout, then
+            # fetch from the origin directly.  Nothing is cached.
+            return self._timeout_to_origin(
+                Journey(),
+                cost.hierarchical_ms(AccessPoint.SERVER, size),
                 target=f"l1:{l1_index}",
             )
-            return journey.result(AccessPoint.L1, hit=True)
+        l1 = self.l1_caches[l1_index]
+        if l1.lookup(oid, version) is LookupResult.HIT:
+            return self._level_result(AccessPoint.L1, size, target=f"l1:{l1_index}")
 
-        if l2.lookup(oid, version) is LookupResult.HIT:
+        if faults is not None and faults.is_down("l2", l2_index):
             l1.insert(oid, size, version)
-            journey = Journey()
-            journey.level_traversal(
-                self.cost_model.hierarchical_ms(AccessPoint.L2, size),
+            return self._timeout_to_origin(
+                Journey(),
+                cost.hierarchical_ms(AccessPoint.SERVER, size),
                 target=f"l2:{l2_index}",
             )
-            return journey.result(AccessPoint.L2, hit=True, remote_hit=True)
+        l2 = self.l2_caches[l2_index]
+        if l2.lookup(oid, version) is LookupResult.HIT:
+            l1.insert(oid, size, version)
+            return self._level_result(AccessPoint.L2, size, target=f"l2:{l2_index}")
 
+        if faults is not None and faults.is_down("l3", 0):
+            l2.insert(oid, size, version)
+            l1.insert(oid, size, version)
+            return self._timeout_to_origin(
+                Journey(),
+                cost.hierarchical_ms(AccessPoint.SERVER, size),
+                target="l3",
+            )
+        l3 = self.l3_cache
         if l3.lookup(oid, version) is LookupResult.HIT:
             l2.insert(oid, size, version)
             l1.insert(oid, size, version)
-            journey = Journey()
-            journey.level_traversal(
-                self.cost_model.hierarchical_ms(AccessPoint.L3, size), target="l3"
-            )
-            return journey.result(AccessPoint.L3, hit=True, remote_hit=True)
+            return self._level_result(AccessPoint.L3, size, target="l3")
 
         # Full miss: the root fetches from the origin server and the object
         # is cached at every level on the way down.
         l3.insert(oid, size, version)
         l2.insert(oid, size, version)
         l1.insert(oid, size, version)
+        return self._level_result(AccessPoint.SERVER, size)
+
+    def _level_result(
+        self, point: AccessPoint, size: int, *, target: str = ""
+    ) -> AccessResult:
+        """One store-and-forward step to the deepest level reached."""
+        origin = point is AccessPoint.SERVER
+        charged, added = self._charge(
+            self.cost_model.hierarchical_ms(point, size), origin=origin
+        )
         journey = Journey()
-        journey.origin_fetch(self.cost_model.hierarchical_ms(AccessPoint.SERVER, size))
-        return journey.result(AccessPoint.SERVER, hit=False)
+        if origin:
+            journey.origin_fetch(charged, fault_ms=added)
+            return journey.result(point, hit=False)
+        _POINT_STEP[point](journey, charged, target=target, fault_ms=added)
+        return journey.result(point, hit=True, remote_hit=point is not AccessPoint.L1)
 
     # ------------------------------------------------------------------
-    # degraded mode (active only when a FaultInjector is attached)
+    # fault callbacks (fired by an attached FaultInjector)
     # ------------------------------------------------------------------
     def on_fault_crash(self, kind, node: int) -> None:
         """A cache node dies: its contents are gone when it recovers."""
@@ -143,94 +173,3 @@ class DataHierarchy(Architecture):
             self.l2_caches[node].clear()
         elif kind is NodeKind.L3:
             self.l3_cache.clear()
-
-    def _process_faulted(self, request: Request) -> AccessResult:
-        """The walk-up with dead parents: timeout, then fall back to origin.
-
-        Charging rule: a timeout fallback pays the dead node's timeout
-        plus the *full* hierarchical miss charge (the request waited at
-        the dead level, then completed as a worst-case origin fetch), so
-        a faulted request is never cheaper than its healthy counterpart.
-        Dead caches are neither read nor written -- their subtree refills
-        only after recovery.
-        """
-        faults = self.faults
-        assert faults is not None
-        l1_index = self.topology.l1_of_client(request.client_id)
-        l2_index = self.topology.l2_of_l1(l1_index)
-        oid, version, size = request.object_id, request.version, request.size
-
-        if faults.is_down("l1", l1_index):
-            # The client's own proxy is dead: wait out the timeout, then
-            # fetch from the origin directly.  Nothing is cached.
-            faults.note_dead_probe()
-            return self._fallback_result(size, target=f"l1:{l1_index}")
-
-        l1 = self.l1_caches[l1_index]
-        if l1.lookup(oid, version) is LookupResult.HIT:
-            return self._degraded_result(
-                AccessPoint.L1, size, hit=True, remote=False, target=f"l1:{l1_index}"
-            )
-
-        if faults.is_down("l2", l2_index):
-            faults.note_dead_probe()
-            l1.insert(oid, size, version)
-            return self._fallback_result(size, target=f"l2:{l2_index}")
-
-        l2 = self.l2_caches[l2_index]
-        if l2.lookup(oid, version) is LookupResult.HIT:
-            l1.insert(oid, size, version)
-            return self._degraded_result(
-                AccessPoint.L2, size, hit=True, remote=True, target=f"l2:{l2_index}"
-            )
-
-        if faults.is_down("l3", 0):
-            faults.note_dead_probe()
-            l2.insert(oid, size, version)
-            l1.insert(oid, size, version)
-            return self._fallback_result(size, target="l3")
-
-        l3 = self.l3_cache
-        if l3.lookup(oid, version) is LookupResult.HIT:
-            l2.insert(oid, size, version)
-            l1.insert(oid, size, version)
-            return self._degraded_result(
-                AccessPoint.L3, size, hit=True, remote=True, target="l3"
-            )
-
-        l3.insert(oid, size, version)
-        l2.insert(oid, size, version)
-        l1.insert(oid, size, version)
-        return self._degraded_result(
-            AccessPoint.SERVER, size, hit=False, remote=False, origin=True
-        )
-
-    def _degraded_result(
-        self,
-        point: AccessPoint,
-        size: int,
-        *,
-        hit: bool,
-        remote: bool,
-        target: str = "",
-        origin: bool = False,
-    ) -> AccessResult:
-        charged, added = self.faults.degraded_ms(
-            self.cost_model.hierarchical_ms(point, size), origin=origin
-        )
-        journey = Journey()
-        if point is AccessPoint.SERVER:
-            journey.origin_fetch(charged, fault_ms=added)
-        else:
-            _POINT_STEP[point](journey, charged, target=target, fault_ms=added)
-        return journey.result(point, hit=hit, remote_hit=remote)
-
-    def _fallback_result(self, size: int, *, target: str) -> AccessResult:
-        faults = self.faults
-        charged, added = faults.degraded_ms(
-            self.cost_model.hierarchical_ms(AccessPoint.SERVER, size), origin=True
-        )
-        journey = Journey()
-        journey.timeout(faults.timeout_ms, target=target)
-        journey.origin_fetch(charged, fault_ms=added)
-        return journey.result(AccessPoint.SERVER, hit=False)

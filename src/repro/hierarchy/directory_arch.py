@@ -66,57 +66,103 @@ class CentralizedDirectoryArchitecture(Architecture):
     DIRECTORY_META_NODE = 0
 
     def process(self, request: Request) -> AccessResult:
+        """Local lookup, then the directory query, then one transfer.
+
+        Under a fault plan a dead directory makes every local miss pay a
+        query timeout before going to the origin server, and a forward to
+        a dead or emptied holder is a wasted forward.
+        """
         if self.audit is not None:
             self.audit.checkpoint(self)
         if self.shard is not None:
             self.check_shard_owns(request.object_id)
-        if self.faults is not None:
-            return self._process_faulted(request)
+        faults = self.faults
         self._now = request.time
         l1_index = self.topology.l1_of_client(request.client_id)
         oid, version, size = request.object_id, request.version, request.size
+        cost = self.cost_model
+
+        if faults is not None and faults.is_down("l1", l1_index):
+            # Client's own proxy dead: timeout, then direct origin fetch.
+            return self._timeout_to_origin(
+                Journey(), cost.via_l1_ms(AccessPoint.SERVER, size), target=f"l1:{l1_index}"
+            )
 
         if self.l1_caches[l1_index].lookup(oid, version) is LookupResult.HIT:
+            charged, added = self._charge(cost.via_l1_ms(AccessPoint.L1, size))
             journey = Journey()
-            journey.local_lookup(
-                self.cost_model.via_l1_ms(AccessPoint.L1, size),
-                target=f"l1:{l1_index}",
-            )
+            journey.local_lookup(charged, target=f"l1:{l1_index}", fault_ms=added)
             return journey.result(AccessPoint.L1, hit=True)
 
-        query_ms = self.cost_model.probe_ms(self.directory_point)
-        lookup = self.directory.find(self._now, oid, l1_index)
-        holder = self._nearest_fresh_holder(lookup.holders, l1_index, oid, version)
+        if faults is not None and faults.is_down("meta", self.DIRECTORY_META_NODE):
+            # The directory itself is down: the query times out and the
+            # miss goes straight to the origin server.  The copy is still
+            # cached locally, but the directory never hears about it --
+            # its map silently erodes for the outage's duration.
+            self.l1_caches[l1_index].insert(oid, size, version)
+            return self._timeout_to_origin(
+                Journey(), cost.via_l1_ms(AccessPoint.SERVER, size), target="directory"
+            )
+
+        query_ms, query_added = self._charge(cost.probe_ms(self.directory_point))
+        journey = Journey()
+        journey.peer_probe(query_ms, target="directory", fault_ms=query_added)
+        holders = self.directory.find(self._now, oid, l1_index).holders
+        if faults is None:
+            # Healthy, the directory is exact: the nearest holder of a
+            # current version, so the forwarded fetch always hits.
+            truth = self.directory.truth_holders(oid)
+            holders = tuple(h for h in holders if truth.get(h, -1) >= version)
+        # Under a plan the walk trusts the visible map (what a real CRISP
+        # client does): crashed proxies died without retracting, so the
+        # map may name holders that no longer exist, and the fetch
+        # discovers the truth.  This is a change of model, not only of
+        # fault state -- a plan whose nodes never go down still differs
+        # from the healthy run (DESIGN.md section 7).
+        holder = self._nearest_holder(holders, l1_index)
+
+        if holder is not None and faults is not None and faults.is_down("l1", holder):
+            # Stale map: the fetch hangs on a dead peer until the timeout,
+            # then the directory drops the entry and the request goes to
+            # the origin server.
+            self.directory.drop_visible(oid, holder)
+            self._store(l1_index, request)
+            return self._timeout_to_origin(
+                journey,
+                cost.via_l1_ms(AccessPoint.SERVER, size),
+                target=f"l1:{holder}",
+                stale=True,
+            )
 
         if holder is not None:
             point = self.topology.distance_class(l1_index, holder)
-            # The directory is fresh, so the peer is guaranteed to hold a
-            # current copy (we filtered stale versions above).
-            self.l1_caches[holder].lookup(oid, version)  # refresh peer LRU
-            self._store(l1_index, request)
-            journey = Journey()
-            journey.peer_probe(query_ms, target="directory")
-            journey.transfer(
-                self.cost_model.via_l1_ms(point, size), target=f"l1:{holder}"
+            if self.l1_caches[holder].lookup(oid, version) is LookupResult.HIT:
+                self._store(l1_index, request)
+                charged, added = self._charge(cost.via_l1_ms(point, size))
+                journey.transfer(charged, target=f"l1:{holder}", fault_ms=added)
+                return journey.result(point, hit=True, remote_hit=True)
+            # The peer is alive but the copy is gone (it crashed and came
+            # back empty while the directory still advertised the entry):
+            # a wasted forward, reachable only through the trusted map.
+            self.directory.drop_visible(oid, holder)
+            probe_ms, probe_added = self._charge(cost.probe_ms(point))
+            journey.peer_probe(
+                probe_ms, target=f"l1:{holder}", fault_ms=probe_added, wasted=True
             )
-            return journey.result(point, hit=True, remote_hit=True)
+            journey.mark_stale_forward()
 
         self._store(l1_index, request)
-        journey = Journey()
-        journey.peer_probe(query_ms, target="directory")
-        journey.origin_fetch(self.cost_model.via_l1_ms(AccessPoint.SERVER, size))
+        charged, added = self._charge(
+            cost.via_l1_ms(AccessPoint.SERVER, size), origin=True
+        )
+        journey.origin_fetch(charged, fault_ms=added)
         return journey.result(AccessPoint.SERVER, hit=False)
 
-    def _nearest_fresh_holder(
-        self, holders: tuple[int, ...], requester: int, oid: int, version: int
-    ) -> int | None:
-        """Nearest holder with a current version (the directory is exact)."""
-        truth = self.directory.truth_holders(oid)
-        fresh = [h for h in holders if truth.get(h, -1) >= version]
-        if not fresh:
+    def _nearest_holder(self, holders: tuple[int, ...], requester: int) -> int | None:
+        if not holders:
             return None
         return min(
-            fresh,
+            holders,
             key=lambda h: (int(self.topology.distance_class(requester, h)), h),
         )
 
@@ -131,7 +177,7 @@ class CentralizedDirectoryArchitecture(Architecture):
         return on_evict
 
     # ------------------------------------------------------------------
-    # degraded mode (active only when a FaultInjector is attached)
+    # fault callbacks (fired by an attached FaultInjector)
     # ------------------------------------------------------------------
     def on_fault_crash(self, kind, node: int) -> None:
         """Crashes hurt CRISP two ways: dead proxies leave the directory
@@ -144,114 +190,3 @@ class CentralizedDirectoryArchitecture(Architecture):
             # The node cannot say goodbye: directory entries go stale.
             for key in self.l1_caches[node].clear():
                 self.directory.retract(self._now, key, node, visible=False)
-
-    def _process_faulted(self, request: Request) -> AccessResult:
-        faults = self.faults
-        assert faults is not None
-        self._now = request.time
-        l1_index = self.topology.l1_of_client(request.client_id)
-        oid, version, size = request.object_id, request.version, request.size
-        cost = self.cost_model
-
-        if faults.is_down("l1", l1_index):
-            # Client's own proxy dead: timeout, then direct origin fetch.
-            faults.note_dead_probe()
-            charged, added = faults.degraded_ms(
-                cost.via_l1_ms(AccessPoint.SERVER, size), origin=True
-            )
-            journey = Journey()
-            journey.timeout(faults.timeout_ms, target=f"l1:{l1_index}")
-            journey.origin_fetch(charged, fault_ms=added)
-            return journey.result(AccessPoint.SERVER, hit=False)
-
-        if self.l1_caches[l1_index].lookup(oid, version) is LookupResult.HIT:
-            charged, added = faults.degraded_ms(cost.via_l1_ms(AccessPoint.L1, size))
-            journey = Journey()
-            journey.local_lookup(charged, target=f"l1:{l1_index}", fault_ms=added)
-            return journey.result(AccessPoint.L1, hit=True)
-
-        if faults.is_down("meta", self.DIRECTORY_META_NODE):
-            # The directory itself is down: the query times out and the
-            # miss goes straight to the origin server.  The copy is still
-            # cached locally, but the directory never hears about it --
-            # its map silently erodes for the outage's duration.
-            faults.note_dead_probe()
-            self.l1_caches[l1_index].insert(oid, size, version)
-            charged, added = faults.degraded_ms(
-                cost.via_l1_ms(AccessPoint.SERVER, size), origin=True
-            )
-            journey = Journey()
-            journey.timeout(faults.timeout_ms, target="directory")
-            journey.origin_fetch(charged, fault_ms=added)
-            return journey.result(AccessPoint.SERVER, hit=False)
-
-        query_ms, query_added = faults.degraded_ms(cost.probe_ms(self.directory_point))
-        lookup = self.directory.find(self._now, oid, l1_index)
-        # Under faults the directory's freshness premise is void: crashed
-        # proxies died without retracting, so the visible map may name
-        # holders that no longer exist.  Trust the map (that is what a
-        # real CRISP client does) and let the fetch discover the truth.
-        holder = self._nearest_visible_holder(lookup.holders, l1_index)
-
-        if holder is not None and faults.is_down("l1", holder):
-            # Stale map: the fetch hangs on a dead peer until the timeout,
-            # then the directory drops the entry and the request goes to
-            # the origin server.
-            faults.note_dead_probe()
-            self.directory.drop_visible(oid, holder)
-            self._store(l1_index, request)
-            charged, added = faults.degraded_ms(
-                cost.via_l1_ms(AccessPoint.SERVER, size), origin=True
-            )
-            journey = Journey()
-            journey.peer_probe(query_ms, target="directory", fault_ms=query_added)
-            journey.timeout(faults.timeout_ms, target=f"l1:{holder}", stale=True)
-            journey.origin_fetch(charged, fault_ms=added)
-            return journey.result(AccessPoint.SERVER, hit=False)
-
-        if holder is not None:
-            point = self.topology.distance_class(l1_index, holder)
-            if self.l1_caches[holder].lookup(oid, version) is LookupResult.HIT:
-                self._store(l1_index, request)
-                charged, added = faults.degraded_ms(cost.via_l1_ms(point, size))
-                journey = Journey()
-                journey.peer_probe(query_ms, target="directory", fault_ms=query_added)
-                journey.transfer(charged, target=f"l1:{holder}", fault_ms=added)
-                return journey.result(point, hit=True, remote_hit=True)
-            # The peer is alive but the copy is gone (it crashed and came
-            # back empty while the directory still advertised the entry):
-            # a wasted forward the healthy directory can never produce.
-            self.directory.drop_visible(oid, holder)
-            probe_ms, probe_added = faults.degraded_ms(cost.probe_ms(point))
-            self._store(l1_index, request)
-            charged, added = faults.degraded_ms(
-                cost.via_l1_ms(AccessPoint.SERVER, size), origin=True
-            )
-            journey = Journey()
-            journey.peer_probe(query_ms, target="directory", fault_ms=query_added)
-            journey.peer_probe(
-                probe_ms, target=f"l1:{holder}", fault_ms=probe_added, wasted=True
-            )
-            journey.mark_stale_forward()
-            journey.origin_fetch(charged, fault_ms=added)
-            return journey.result(AccessPoint.SERVER, hit=False)
-
-        self._store(l1_index, request)
-        charged, added = faults.degraded_ms(
-            cost.via_l1_ms(AccessPoint.SERVER, size), origin=True
-        )
-        journey = Journey()
-        journey.peer_probe(query_ms, target="directory", fault_ms=query_added)
-        journey.origin_fetch(charged, fault_ms=added)
-        return journey.result(AccessPoint.SERVER, hit=False)
-
-    def _nearest_visible_holder(
-        self, holders: tuple[int, ...], requester: int
-    ) -> int | None:
-        """Nearest holder the (possibly stale) visible map advertises."""
-        if not holders:
-            return None
-        return min(
-            holders,
-            key=lambda h: (int(self.topology.distance_class(requester, h)), h),
-        )

@@ -21,6 +21,10 @@ Hint pathologies are modelled per section 3.1.1:
 Push policies (section 4) hook the two fetch events; the ``charge_remote_
 as_l1`` flag implements the ideal-push upper bound (every remote hit is
 charged as a local hit and the replicas consume no space).
+
+Fault injection (section 5) runs through the same walk: each fault site
+is an inline check on ``self.faults``, so a healthy run and a fault
+window in which nothing is down charge identically.
 """
 
 from __future__ import annotations
@@ -52,6 +56,13 @@ class HintHierarchy(Architecture):
             charged as L1 hits (section 4.1.1's best case).
         l1_policy: Replacement policy for the per-proxy data caches
             (:class:`~repro.cache.policy.PolicySpec`; default LRU).
+
+    :meth:`process` is the one request walk, healthy or under a fault
+    plan.  Only the plain architecture accepts a plan: a push policy or
+    ``charge_remote_as_l1`` makes :meth:`fault_unsupported_reason` name
+    the gap, and :class:`~repro.faults.injector.FaultInjector` refuses
+    the run before its first request rather than dropping the push
+    model without saying so.
     """
 
     name = "hints"
@@ -96,24 +107,46 @@ class HintHierarchy(Architecture):
     # request processing
     # ------------------------------------------------------------------
     def process(self, request: Request) -> AccessResult:
+        """Local lookup, then the hint, then one transfer or the server.
+
+        Under a fault plan (section 5's availability argument) the walk
+        keeps working when nodes die, because any live peer or the
+        origin server remains reachable without a fixed chain of
+        parents.  The costs of degradation are wasted forwards to dead
+        holders (timeout, counted as ``stale_hint_forward``) and eroding
+        hint coverage (lost batches and dead metadata nodes make stores
+        invisible, so future lookups miss straight to the server --
+        slower, never wrong).
+        """
         if self.audit is not None:
             self.audit.checkpoint(self)
         if self.shard is not None:
             self.check_shard_owns(request.object_id)
-        if self.faults is not None:
-            return self._process_faulted(request)
+        faults = self.faults
         self._now = request.time
+        if faults is not None:
+            # StaleHintDrift: extra visibility lag on top of the configured
+            # propagation delay, applied to every event scheduled from now on.
+            self.directory.propagation_delay_s = (
+                self._base_hint_delay_s + faults.hint_delay_skew_s
+            )
         l1_index = self.topology.l1_of_client(request.client_id)
         cache = self.l1_caches[l1_index]
         oid, version, size = request.object_id, request.version, request.size
+        cost = self.cost_model
+
+        if faults is not None and faults.is_down("l1", l1_index):
+            # The client's own proxy is dead: wait out the timeout, then
+            # fetch from the origin directly.  Nothing is cached.
+            return self._timeout_to_origin(
+                Journey(), cost.via_l1_ms(AccessPoint.SERVER, size), target=f"l1:{l1_index}"
+            )
 
         local = cache.lookup(oid, version)
         if local is LookupResult.HIT:
+            charged, added = self._charge(cost.via_l1_ms(AccessPoint.L1, size))
             journey = Journey()
-            journey.local_lookup(
-                self.cost_model.via_l1_ms(AccessPoint.L1, size),
-                target=f"l1:{l1_index}",
-            )
+            journey.local_lookup(charged, target=f"l1:{l1_index}", fault_ms=added)
             if self._consume_push_mark(l1_index, oid, version):
                 journey.mark_push_hit()
             return journey.result(AccessPoint.L1, hit=True)
@@ -130,6 +163,23 @@ class HintHierarchy(Architecture):
             if held < version and node != l1_index
         }
 
+        if holder is not None and faults is not None and faults.is_down("l1", holder):
+            # A stale hint forwarded the request to a crashed peer: the
+            # probe times out, the requester discards the bad hint, and
+            # the request completes at the origin server.
+            self.directory.drop_visible(oid, holder)
+            self.directory.record_false_positive()
+            self._store(l1_index, request)
+            journey = Journey()
+            journey.hint_lookup(cost.hint_lookup_ms(), target=f"l1:{holder}")
+            journey.mark_false_positive()
+            return self._timeout_to_origin(
+                journey,
+                cost.via_l1_ms(AccessPoint.SERVER, size),
+                target=f"l1:{holder}",
+                stale=True,
+            )
+
         if holder is not None:
             point = self.topology.distance_class(l1_index, holder)
             remote = self.l1_caches[holder].lookup(oid, version)
@@ -138,21 +188,34 @@ class HintHierarchy(Architecture):
             # The advertised copy is gone or stale: a false positive.  The
             # probed cache replies with an error; go straight to the server.
             self.directory.record_false_positive()
-            return self._server_fetch(
-                request, l1_index, local_had_stale, stale_holders,
-                probe_ms=self.cost_model.probe_ms(point),
-                probe_target=f"l1:{holder}",
-                false_positive=True,
+            probe_ms, probe_added = self._charge(cost.probe_ms(point))
+            journey = Journey()
+            journey.hint_lookup(cost.hint_lookup_ms())
+            journey.peer_probe(
+                probe_ms, target=f"l1:{holder}", fault_ms=probe_added, wasted=True
             )
-
+            journey.mark_false_positive()
+        else:
+            journey = Journey()
+            journey.hint_lookup(cost.hint_lookup_ms())
+            if lookup.false_negative:
+                journey.mark_false_negative()
         return self._server_fetch(
-            request, l1_index, local_had_stale, stale_holders,
-            false_negative=lookup.false_negative,
+            request, l1_index, journey, local_had_stale, stale_holders
         )
 
     # ------------------------------------------------------------------
-    # degraded mode (active only when a FaultInjector is attached)
+    # fault model
     # ------------------------------------------------------------------
+    def fault_unsupported_reason(self) -> str | None:
+        # Push actions and the ideal-push bound have no fault sites: a
+        # push to a dead node or over a lost batch is not modelled.
+        if self.push_policy is not None:
+            return f"push policy {self.push_policy.name!r} is not modelled under faults"
+        if self.charge_remote_as_l1:
+            return "ideal-push accounting is not modelled under faults"
+        return None
+
     def on_fault_crash(self, kind, node: int) -> None:
         """An L1 proxy dies without a goodbye.
 
@@ -177,138 +240,6 @@ class HintHierarchy(Architecture):
         interior node covering an L1 proxy is its L2 group index.
         """
         return self.topology.l2_of_l1(l1_index)
-
-    def _process_faulted(self, request: Request) -> AccessResult:
-        """The hint walk under faults.
-
-        The structural claim under test (section 5's availability
-        argument): hints keep working when nodes die, because any live
-        peer or the origin server remains reachable without a fixed
-        chain of parents.  The costs of degradation are wasted forwards
-        to dead holders (timeout, counted as ``stale_hint_forward``) and
-        eroding hint coverage (lost batches and dead metadata nodes make
-        stores invisible, so future lookups miss straight to the server
-        -- slower, never wrong).
-
-        Push policies and the ideal-push accounting are not exercised in
-        degraded mode; fault experiments run the plain hint architecture.
-        """
-        faults = self.faults
-        assert faults is not None
-        self._now = request.time
-        # StaleHintDrift: extra visibility lag on top of the configured
-        # propagation delay, applied to every event scheduled from now on.
-        self.directory.propagation_delay_s = (
-            self._base_hint_delay_s + faults.hint_delay_skew_s
-        )
-        l1_index = self.topology.l1_of_client(request.client_id)
-        oid, version, size = request.object_id, request.version, request.size
-        cost = self.cost_model
-
-        if faults.is_down("l1", l1_index):
-            # The client's own proxy is dead: wait out the timeout, then
-            # fetch from the origin directly.  Nothing is cached.
-            faults.note_dead_probe()
-            charged, added = faults.degraded_ms(
-                cost.via_l1_ms(AccessPoint.SERVER, size), origin=True
-            )
-            journey = Journey()
-            journey.timeout(faults.timeout_ms, target=f"l1:{l1_index}")
-            journey.origin_fetch(charged, fault_ms=added)
-            return journey.result(AccessPoint.SERVER, hit=False)
-
-        cache = self.l1_caches[l1_index]
-        if cache.lookup(oid, version) is LookupResult.HIT:
-            charged, added = faults.degraded_ms(cost.via_l1_ms(AccessPoint.L1, size))
-            journey = Journey()
-            journey.local_lookup(charged, target=f"l1:{l1_index}", fault_ms=added)
-            return journey.result(AccessPoint.L1, hit=True)
-
-        lookup = self.directory.find(self._now, oid, l1_index)
-        holder = self._nearest_holder(lookup.holders, l1_index)
-
-        if holder is not None and faults.is_down("l1", holder):
-            # A stale hint forwarded the request to a crashed peer: the
-            # probe times out, the requester discards the bad hint, and
-            # the request completes at the origin server.
-            faults.note_dead_probe()
-            self.directory.drop_visible(oid, holder)
-            self.directory.record_false_positive()
-            self._store_faulted(l1_index, request)
-            charged, added = faults.degraded_ms(
-                cost.via_l1_ms(AccessPoint.SERVER, size), origin=True
-            )
-            journey = Journey()
-            journey.hint_lookup(cost.hint_lookup_ms(), target=f"l1:{holder}")
-            journey.timeout(faults.timeout_ms, target=f"l1:{holder}", stale=True)
-            journey.mark_false_positive()
-            journey.origin_fetch(charged, fault_ms=added)
-            return journey.result(AccessPoint.SERVER, hit=False)
-
-        if holder is not None:
-            point = self.topology.distance_class(l1_index, holder)
-            if self.l1_caches[holder].lookup(oid, version) is LookupResult.HIT:
-                suboptimal = any(
-                    held >= version
-                    and node != l1_index
-                    and self.topology.distance_class(l1_index, node) < point
-                    for node, held in self.directory.truth_holders(oid).items()
-                )
-                self._store_faulted(l1_index, request)
-                charged, added = faults.degraded_ms(cost.via_l1_ms(point, size))
-                journey = Journey()
-                journey.hint_lookup(cost.hint_lookup_ms(), target=f"l1:{holder}")
-                journey.transfer(charged, target=f"l1:{holder}", fault_ms=added)
-                if suboptimal:
-                    journey.mark_suboptimal()
-                return journey.result(point, hit=True, remote_hit=True)
-            # Ordinary false positive: the live peer no longer holds the
-            # object (or invalidated a stale copy); wasted probe, then
-            # the origin server.
-            self.directory.record_false_positive()
-            probe_ms, probe_added = faults.degraded_ms(cost.probe_ms(point))
-            self._store_faulted(l1_index, request)
-            charged, added = faults.degraded_ms(
-                cost.via_l1_ms(AccessPoint.SERVER, size), origin=True
-            )
-            journey = Journey()
-            journey.hint_lookup(cost.hint_lookup_ms(), target=f"l1:{holder}")
-            journey.peer_probe(
-                probe_ms, target=f"l1:{holder}", fault_ms=probe_added, wasted=True
-            )
-            journey.mark_false_positive()
-            journey.origin_fetch(charged, fault_ms=added)
-            return journey.result(AccessPoint.SERVER, hit=False)
-
-        self._store_faulted(l1_index, request)
-        charged, added = faults.degraded_ms(
-            cost.via_l1_ms(AccessPoint.SERVER, size), origin=True
-        )
-        journey = Journey()
-        journey.hint_lookup(cost.hint_lookup_ms())
-        if lookup.false_negative:
-            journey.mark_false_negative()
-        journey.origin_fetch(charged, fault_ms=added)
-        return journey.result(AccessPoint.SERVER, hit=False)
-
-    def _store_faulted(self, l1_index: int, request: Request) -> None:
-        """Store a demand copy; the hint announcement may be lost in flight.
-
-        The copy always lands in the data cache (ground truth), but the
-        inform is invisible when the seeded batch-loss draw says so or
-        when the metadata node relaying this proxy's updates is down --
-        either way the system accrues future false negatives, never
-        incorrect data.
-        """
-        faults = self.faults
-        self.l1_caches[l1_index].insert(
-            request.object_id, request.size, request.version
-        )
-        dropped = faults.hint_update_dropped()
-        visible = not dropped and not faults.is_down("meta", self._meta_node_of(l1_index))
-        self.directory.inform(
-            self._now, request.object_id, l1_index, request.version, visible=visible
-        )
 
     # ------------------------------------------------------------------
     # hit / miss paths
@@ -342,11 +273,10 @@ class HintHierarchy(Architecture):
                 lca_level=int(point),
             )
             self._apply_pushes(actions, exclude={l1_index, holder})
+        charged, added = self._charge(self.cost_model.via_l1_ms(charged_point, size))
         journey = Journey()
         journey.hint_lookup(self.cost_model.hint_lookup_ms(), target=f"l1:{holder}")
-        journey.transfer(
-            self.cost_model.via_l1_ms(charged_point, size), target=f"l1:{holder}"
-        )
+        journey.transfer(charged, target=f"l1:{holder}", fault_ms=added)
         if suboptimal:
             journey.mark_suboptimal()
         return journey.result(charged_point, hit=True, remote_hit=True)
@@ -355,14 +285,12 @@ class HintHierarchy(Architecture):
         self,
         request: Request,
         l1_index: int,
+        journey: Journey,
         local_had_stale: bool,
         stale_holders: dict[int, int],
-        *,
-        probe_ms: float = 0.0,
-        probe_target: str = "",
-        false_positive: bool = False,
-        false_negative: bool = False,
     ) -> AccessResult:
+        """Complete a miss at the origin server; ``journey`` carries the
+        hint lookup (and any wasted probe) already charged."""
         size = request.size
         communication_miss = local_had_stale or bool(stale_holders)
         self.push_stats.note_time(self._now)
@@ -377,26 +305,34 @@ class HintHierarchy(Architecture):
                 stale_holders=stale_holders,
             )
             self._apply_pushes(actions, exclude={l1_index})
-        journey = Journey()
-        journey.hint_lookup(self.cost_model.hint_lookup_ms())
-        if false_positive:
-            journey.peer_probe(probe_ms, target=probe_target, wasted=True)
-            journey.mark_false_positive()
-        if false_negative:
-            journey.mark_false_negative()
-        journey.origin_fetch(self.cost_model.via_l1_ms(AccessPoint.SERVER, size))
+        charged, added = self._charge(
+            self.cost_model.via_l1_ms(AccessPoint.SERVER, size), origin=True
+        )
+        journey.origin_fetch(charged, fault_ms=added)
         return journey.result(AccessPoint.SERVER, hit=False)
 
     # ------------------------------------------------------------------
     # storage and hint bookkeeping
     # ------------------------------------------------------------------
     def _store(self, l1_index: int, request: Request) -> None:
-        """Cache a demand copy at the requester's proxy and advertise it."""
+        """Cache a demand copy at the requester's proxy and advertise it.
+
+        The copy always lands in the data cache (ground truth).  Under a
+        plan the announcement is invisible when the seeded batch-loss
+        draw says so or when the metadata node relaying this proxy's
+        updates is down -- either way the system accrues future false
+        negatives, never incorrect data.
+        """
         self.l1_caches[l1_index].insert(
             request.object_id, request.size, request.version
         )
+        faults = self.faults
+        visible = faults is None or not (
+            faults.hint_update_dropped()
+            or faults.is_down("meta", self._meta_node_of(l1_index))
+        )
         self.directory.inform(
-            self._now, request.object_id, l1_index, request.version
+            self._now, request.object_id, l1_index, request.version, visible=visible
         )
 
     def _apply_pushes(self, actions: list[PushAction], exclude: set[int]) -> None:

@@ -94,6 +94,9 @@ class MessageLevelHintHierarchy(Architecture):
     # ------------------------------------------------------------------
     # processing
     # ------------------------------------------------------------------
+    def fault_unsupported_reason(self) -> str | None:
+        return "the message-level hint walk has no fault sites"
+
     def process(self, request: Request) -> AccessResult:
         if self.audit is not None:
             self.audit.checkpoint(self)

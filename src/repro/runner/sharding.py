@@ -62,6 +62,7 @@ from typing import Sequence
 from repro.common.ids import mix64, partitions_of_objects
 from repro.common.timing import Stopwatch
 from repro.faults.events import FaultPlan, HintBatchLoss
+from repro.faults.injector import check_fault_model
 from repro.hierarchy.base import Architecture, ShardInfo
 from repro.hierarchy.message_hints import MessageLevelHintHierarchy
 from repro.push.hierarchical import HierarchicalPushOnMiss
@@ -324,7 +325,9 @@ def run_comparison_sharded(
 
     Raises ``ValueError`` before any worker is spawned when a spec or the
     fault plan couples objects (see the module docstring): such a run
-    cannot be split by object without changing its answer.
+    cannot be split by object without changing its answer.  A non-empty
+    ``fault_plan`` on a spec whose walk does not model faults is refused
+    at the same point, with the fault injector's own check.
 
     ``timeline_dir`` mirrors the parallel runner: merged per-bin rows
     land in ``<timeline_dir>/<architecture>.jsonl``, canonical JSONL,
@@ -357,6 +360,8 @@ def run_comparison_sharded(
                 f"cannot shard {architecture.name!r}: {reason}; "
                 "run it unsharded"
             )
+        if fault_plan:
+            check_fault_model(architecture)
     collect_timeline = timeline_dir is not None
 
     tasks = [

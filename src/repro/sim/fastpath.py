@@ -51,14 +51,16 @@ times), so no span ever straddles an injector state change.  Each span
 then runs in one of two modes:
 
 * **quiescent** (``injector.faults_active`` is false after advancing to
-  the span's start): the vectorized kernel runs.  With a plan attached
-  every request takes the architecture's ``_process_faulted`` path, so
-  kernels carry a ``faulted`` mode replaying that path's quiescent-window
-  semantics exactly -- ``degraded_ms`` is the identity at multiplier 1.0,
-  no node is down, no hint-loss draw happens at probability 0.0, and the
-  residual per-architecture differences (the hint path skipping push
-  accounting, the directory trusting its possibly-stale visible map) are
-  encoded in the faulted state loops below;
+  the span's start): the vectorized kernel runs its one state loop.
+  Every architecture has a single fault-aware ``process`` walk, and in a
+  quiescent window that walk is the healthy one -- ``degraded_ms`` is the
+  identity at multiplier 1.0, no node is down, and no hint-loss draw
+  happens at probability 0.0.  There is no kernel faulted mode, with one
+  exception: the directory walk trusts its visible map whenever a plan is
+  bound (DESIGN.md section 7), which :class:`DirectoryKernel` mirrors as
+  its map-trust branch.  Walks that do not model faults (push policies,
+  ideal-push accounting, client and message-level hints) are refused by
+  :meth:`repro.faults.injector.FaultInjector.bind` before any span runs;
 * **active** (any node down / multiplier != 1 / loss probability > 0):
   the span falls back to a per-request loop over ``architecture.process``
   -- byte-identical because it *is* the reference loop body.
@@ -152,14 +154,9 @@ class _Kernel:
         self.arch = architecture
         self.columns = columns
         self.requests = requests
-        # With a fault plan bound, *every* request takes the architecture's
-        # ``_process_faulted`` path; kernels replay its quiescent-window
-        # semantics when this is set (the driver only invokes kernels in
-        # quiescent spans -- active windows fall back per-request).
-        self.faulted = architecture.faults is not None
 
     def span_begin(self) -> None:
-        """Per-span hook before a quiescent faulted span (default no-op)."""
+        """Per-span hook before a quiescent span of a plan (default no-op)."""
 
     def process_batch(self, idx: np.ndarray) -> _BatchResult:
         raise NotImplementedError
@@ -180,10 +177,7 @@ class HierarchyKernel(_Kernel):
     """Vectorized path of :class:`DataHierarchy`.
 
     Pattern ids double as AccessPoint ints (the hierarchy's single journey
-    step is fully determined by the deepest level reached).  The quiescent
-    window of ``_process_faulted`` is byte-identical to the healthy path
-    (``degraded_ms`` is the identity, ``fault_ms=0.0`` equals the healthy
-    step default), so one state loop serves both modes.
+    step is fully determined by the deepest level reached).
     """
 
     STEP_TABLE = {
@@ -303,10 +297,7 @@ class IcpKernel(_Kernel):
 
     Every local miss pays the sibling query round trip (slot 0), then
     resolves at the first sibling holding a current copy, the L2 parent,
-    the L3 root, or the origin server.  The quiescent faulted window is
-    byte-identical to the healthy walk: with no sibling down the live-
-    sibling partition preserves order, no timeout fires, and every
-    degraded charge is the identity.
+    the L3 root, or the origin server.
     """
 
     P_LOCAL = 1
@@ -471,12 +462,13 @@ class IcpKernel(_Kernel):
 class DirectoryKernel(_Kernel):
     """Vectorized path of :class:`CentralizedDirectoryArchitecture`.
 
-    Healthy mode filters advertised holders by ground-truth freshness (the
-    directory is exact), so a forwarded fetch always hits.  Faulted mode
-    replays ``_process_faulted``'s quiescent window: the freshness premise
-    is void (crashed proxies died without visible retractions), so the
-    nearest *visible* holder is trusted and a missing copy produces the
-    stale-forward pattern -- probe wasted, entry dropped, origin fetch.
+    Healthy runs filter advertised holders by ground-truth freshness (the
+    directory is exact), so a forwarded fetch always hits.  With a plan
+    bound, the walk's holder selection trusts the nearest *visible* holder
+    instead (crashed proxies died without visible retractions), and a
+    missing copy produces the stale-forward pattern -- probe wasted,
+    entry dropped, origin fetch.  That map-trust branch is the only
+    fault-dependent code in any kernel.
     """
 
     P_LOCAL = 1
@@ -500,6 +492,7 @@ class DirectoryKernel(_Kernel):
         topology = architecture.topology
         self._l1_all = topology.l1_of_clients(columns.client)
         self._dist_rows = topology.distance_matrix().tolist()
+        self._trust_visible_map = architecture.faults is not None
         # Pure local hits on unbounded caches skip promotion and the
         # ``_now`` stamp: the directory's zero propagation delay makes the
         # retraction timestamp unobservable, and crash retractions are
@@ -527,7 +520,7 @@ class DirectoryKernel(_Kernel):
         truth = directory._truth
         dist_rows = self._dist_rows
         hit = LookupResult.HIT
-        faulted = self.faulted
+        trust_visible_map = self._trust_visible_map
 
         pattern_list = []
         miss_row_list = []
@@ -561,10 +554,10 @@ class DirectoryKernel(_Kernel):
             m_append(row)
             lookup = find(t, oid, l1i)
             holders = lookup.holders
-            if faulted:
-                # Quiescent window of ``_process_faulted``: trust the
-                # visible map without the freshness filter, and discover
-                # missing copies via the probe itself.
+            if trust_visible_map:
+                # A plan is bound: trust the visible map without the
+                # freshness filter, and discover missing copies via the
+                # probe itself.
                 if holders:
                     drow = dist_rows[l1i]
                     holder = min(holders, key=lambda h: (drow[h], h))
@@ -702,11 +695,8 @@ class HintKernel(_Kernel):
     order: L1 lookup, directory find, nearest-holder probe, false-positive
     recording, push-stats clock/byte accounting, demand store + inform.
 
-    The faulted loop replays ``_process_faulted``'s quiescent window: it
-    skips the push-stats accounting entirely, re-applies the propagation
-    delay per span (idempotent at zero skew), and stamps a target on the
-    false-positive journey's hint-lookup step -- the reference path's only
-    journey-shape difference.
+    In a quiescent span of a fault plan the same loop runs;
+    :meth:`span_begin` only restores the propagation delay.
     """
 
     P_LOCAL = 1
@@ -742,21 +732,16 @@ class HintKernel(_Kernel):
         ]
 
     def span_begin(self) -> None:
-        if self.faulted:
-            # StaleHintDrift re-application, per ``_process_faulted``:
-            # quiescent windows have zero skew, so this is idempotent per
-            # span (the reference re-assigns the same value per request).
-            arch = self.arch
-            arch.directory.propagation_delay_s = (
-                arch._base_hint_delay_s + arch.faults.hint_delay_skew_s
-            )
+        # StaleHintDrift: ``process`` re-assigns the drifted propagation
+        # delay per request, so an active window's last request leaves the
+        # drifted value behind.  A quiescent span has zero skew; restore
+        # the delay the walk would assign before the kernel informs.
+        arch = self.arch
+        arch.directory.propagation_delay_s = (
+            arch._base_hint_delay_s + arch.faults.hint_delay_skew_s
+        )
 
     def process_batch(self, idx: np.ndarray) -> _BatchResult:
-        if self.faulted:
-            return self._process_batch_faulted(idx)
-        return self._process_batch_healthy(idx)
-
-    def _process_batch_healthy(self, idx: np.ndarray) -> _BatchResult:
         columns = self.columns
         times = columns.time[idx].tolist()
         oids = columns.object[idx].tolist()
@@ -854,113 +839,6 @@ class HintKernel(_Kernel):
                 continue
             note_time(t)
             push_stats.demand_bytes += size
-            cache.insert(oid, size, version)
-            inform(t, oid, l1i, version)
-            if lookup.false_negative:
-                p_append(5)
-                f_append(FLAG_FALSE_NEGATIVE)
-            else:
-                p_append(3)
-                f_append(0)
-            h_append(-1)
-            a_append(4)
-
-        return self._finalize(
-            idx, pattern_list, miss_row_list, holder_list, aux_point_list,
-            flag_list,
-        )
-
-    def _process_batch_faulted(self, idx: np.ndarray) -> _BatchResult:
-        """Quiescent window of ``_process_faulted``: no node down, zero
-        loss probability (no RNG draw), identity latency -- but no
-        push-stats accounting, and every store informs visibly."""
-        columns = self.columns
-        times = columns.time[idx].tolist()
-        oids = columns.object[idx].tolist()
-        versions = columns.version[idx].tolist()
-        sizes_list = columns.size[idx].tolist()
-        l1_list = self._l1_all[idx].tolist()
-
-        arch = self.arch
-        caches = arch.l1_caches
-        l1_entries = self._l1_entries
-        directory = arch.directory
-        find = directory.find
-        record_fp = directory.record_false_positive
-        inform = directory.inform
-        truth = directory._truth
-        dist_rows = self._dist_rows
-        hit = LookupResult.HIT
-
-        pattern_list = []
-        miss_row_list = []
-        holder_list = []
-        aux_point_list = []
-        flag_list = []
-        p_append = pattern_list.append
-        m_append = miss_row_list.append
-        h_append = holder_list.append
-        a_append = aux_point_list.append
-        f_append = flag_list.append
-        row = -1
-        for t, oid, version, size, l1i in zip(
-            times, oids, versions, sizes_list, l1_list
-        ):
-            row += 1
-            entries = l1_entries[l1i]
-            if entries is not None:
-                entry = entries.get(oid)
-                if entry is not None and entry.version >= version:
-                    p_append(1)
-                    continue
-                arch._now = t
-                cache = caches[l1i]
-                if entry is not None:
-                    cache.lookup(oid, version)  # STALE: invalidate + retract
-            else:
-                arch._now = t
-                cache = caches[l1i]
-                if cache.lookup(oid, version) is hit:
-                    p_append(1)
-                    continue
-            m_append(row)
-            lookup = find(t, oid, l1i)
-            holders = lookup.holders
-            if holders:
-                drow = dist_rows[l1i]
-                holder = min(holders, key=lambda h: (drow[h], h))
-                point = drow[holder]
-                if caches[holder].lookup(oid, version) is hit:
-                    held_map = truth.get(oid)
-                    suboptimal = False
-                    if held_map:
-                        for node, held in held_map.items():
-                            if (
-                                held >= version
-                                and node != l1i
-                                and drow[node] < point
-                            ):
-                                suboptimal = True
-                                break
-                    cache.insert(oid, size, version)
-                    inform(t, oid, l1i, version)
-                    p_append(2)
-                    h_append(holder)
-                    a_append(point)
-                    f_append(
-                        FLAG_REMOTE_HIT | FLAG_SUBOPTIMAL
-                        if suboptimal
-                        else FLAG_REMOTE_HIT
-                    )
-                    continue
-                record_fp()
-                cache.insert(oid, size, version)
-                inform(t, oid, l1i, version)
-                p_append(4)
-                h_append(holder)
-                a_append(point)
-                f_append(FLAG_FALSE_POSITIVE)
-                continue
             cache.insert(oid, size, version)
             inform(t, oid, l1i, version)
             if lookup.false_negative:
@@ -1092,12 +970,7 @@ class HintKernel(_Kernel):
                 AccessPoint(int(batch.point[row])), hit=True, remote_hit=True
             )
         if pattern == 4:
-            if self.faulted:
-                # ``_process_faulted`` stamps the probed holder on the
-                # hint-lookup step; the healthy path leaves it blank.
-                journey.hint_lookup(s0, target=f"l1:{holder}")
-            else:
-                journey.hint_lookup(s0)
+            journey.hint_lookup(s0)
             journey.peer_probe(s1, target=f"l1:{holder}", wasted=True)
             journey.mark_false_positive()
             journey.origin_fetch(s2)
@@ -1119,15 +992,13 @@ class PushHintKernel(HintKernel):
     architecture's own ``_apply_pushes`` -- so seeded target-selection
     RNG streams, budget accounting, pending-push marks, and LRU demotion
     all advance exactly as in the reference loop.  Requires materialized
-    requests (policies receive real ``Request`` objects).
-
-    Under a fault plan the inherited faulted loop applies unchanged:
-    ``_process_faulted`` ignores push policies and ideal accounting.
+    requests (policies receive real ``Request`` objects).  Fault plans are
+    refused for these configurations (the push model has no fault sites).
     """
 
     NEEDS_REQUESTS = True
 
-    def _process_batch_healthy(self, idx: np.ndarray) -> _BatchResult:
+    def process_batch(self, idx: np.ndarray) -> _BatchResult:
         columns = self.columns
         times = columns.time[idx].tolist()
         oids = columns.object[idx].tolist()
@@ -1315,8 +1186,8 @@ class ClientHintKernel(_Kernel):
     Direct client-to-cache pricing, plus the seeded false-negative coin:
     the loop replays the reference's short-circuit draw (``rate > 0.0 and
     rng.random() < rate``) exactly once per non-local request, so the RNG
-    stream stays aligned.  The architecture has no degraded request path,
-    so the same loop serves quiescent fault windows.
+    stream stays aligned.  The walk has no fault sites, so fault plans
+    are refused.
     """
 
     P_LOCAL = 1
@@ -1509,8 +1380,7 @@ class MessageHintKernel(_Kernel):
     per-node hint caches, batched updates, seeded flush jitter -- through
     ``find_nearest`` / ``local_inform``, so emergent pathologies (in-
     flight invalidations, set-conflict displacement) reproduce exactly.
-    The architecture has no degraded request path, so the same loop
-    serves quiescent fault windows.
+    The walk has no fault sites, so fault plans are refused.
     """
 
     P_LOCAL = 1

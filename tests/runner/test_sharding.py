@@ -242,10 +242,12 @@ class TestMatchesUnsharded:
         )
 
     def test_accepted_variants(self):
-        # Every non-standard configuration the refusal check lets through.
+        # Every non-standard configuration the refusal checks let through:
+        # all of them plan-free, and under a fault plan only the walks that
+        # model faults (the rest are refused in TestRefusals).
         config = make_tiny_config()
         topology, cost = config.topology, TestbedCostModel()
-        specs = [
+        variants = [
             ArchitectureSpec(ClientHintHierarchy, (topology, cost)),
             ArchitectureSpec(
                 HintHierarchy,
@@ -264,6 +266,7 @@ class TestMatchesUnsharded:
                 DataHierarchy, (topology, cost), dict(l1_policy=PolicySpec("random"))
             ),
         ]
+        faultable = [variants[-1], ArchitectureSpec(HintHierarchy, (topology, cost))]
         plan = FaultPlan(
             events=(
                 *FAULT_PLAN.events,
@@ -273,7 +276,7 @@ class TestMatchesUnsharded:
             ),
             seed=7,
         )
-        for fault_plan in (None, plan):
+        for specs, fault_plan in ((variants, None), (faultable, plan)):
             reference = unsharded(config, specs, fault_plan=fault_plan)
             sharded = run_comparison_sharded(
                 config.profile("dec"),
@@ -443,6 +446,21 @@ class TestRefusals:
     def test_hint_batch_loss_refused(self):
         plan = FaultPlan(events=(HintBatchLoss(time=0.0, prob=0.5),), seed=7)
         self.refuse(self.spec(HintHierarchy), "HintBatchLoss", fault_plan=plan)
+
+    def test_fault_plan_on_unmodelled_walk_refused(self):
+        # The fault injector's own check, run before any worker: these
+        # walks would otherwise ignore the plan (or part of their model).
+        config = make_tiny_config()
+        for spec in (
+            self.spec(ClientHintHierarchy),
+            self.spec(
+                HintHierarchy,
+                push_policy=HierarchicalPushOnMiss(config.topology, "push-all"),
+            ),
+            self.spec(HintHierarchy, push_policy=UpdatePush(age_pushed_entries=True)),
+            self.spec(HintHierarchy, charge_remote_as_l1=True),
+        ):
+            self.refuse(spec, "cannot inject faults into", fault_plan=FAULT_PLAN)
 
     def test_random_target_push_refused(self):
         config = make_tiny_config()

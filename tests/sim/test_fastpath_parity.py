@@ -8,7 +8,9 @@ directory, client-hints, message-level hints), bounded and unbounded
 caches, hint pathologies (false positives/negatives, suboptimal hits),
 fault plans with active *and* quiescent windows (the vectorized residual's
 span splitting), journey streams, telemetry rows, and batch-boundary /
-fault-edge invariance under Hypothesis.
+fault-edge invariance under Hypothesis.  Kinds whose walk does not model
+faults (push, ideal push, client hints, message-level hints) must refuse
+every fault plan on both engines instead.
 
 A second matrix crosses every architecture kind with every replacement
 policy (LRU / LFU / seeded Random) on *bounded* caches -- the kernels'
@@ -168,7 +170,7 @@ def build_architecture(kind, topology, policy=None):
 
 
 #: Fault plans mix active windows (per-request residual) with quiescent
-#: windows (vectorized kernels in faulted mode): crash-heavy alternates
+#: windows (vectorized kernels): crash-heavy alternates
 #: crash/recover pairs through warmup *and* the measured region, and
 #: link-degrade returns to multiplier 1.0 mid-measurement so the kernels
 #: take over a run that started degraded.
@@ -189,6 +191,25 @@ FAULT_PLANS = {
         LinkDegrade(time=240_000.0, latency_mult=1.0),
     ),
 }
+
+
+#: Kinds whose request walk has no fault model: a plan is refused.
+UNFAULTABLE_KINDS = frozenset(
+    {"hints-push", "hints-update-push", "hints-ideal", "client-hints", "message-hints"}
+)
+
+
+def assert_plan_refused(trace, kind, topology, plan, **kwargs):
+    """Both engines raise the fault-model refusal for this cell."""
+    for engine in ("reference", "fast"):
+        with pytest.raises(ValueError, match="cannot inject faults into"):
+            run_simulation(
+                trace,
+                build_architecture(kind, topology),
+                fault_plan=plan,
+                engine=engine,
+                **kwargs,
+            )
 
 
 def make_plan(fault_name, seed):
@@ -238,8 +259,12 @@ def assert_same_journeys(reference_sink, fast_sink):
 @pytest.mark.parametrize("fault_name", sorted(FAULT_PLANS))
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_parity_matrix(kind, fault_name, tiny_config, dec_trace):
-    """Architecture x fault-plan matrix: byte-identical SimMetrics."""
+    """Architecture x fault-plan matrix: byte-identical SimMetrics, or a
+    refusal on both engines where the walk does not model faults."""
     plan = make_plan(fault_name, tiny_config.seed)
+    if plan is not None and kind in UNFAULTABLE_KINDS:
+        assert_plan_refused(dec_trace, kind, tiny_config.topology, plan)
+        return
     reference, fast = run_pair(
         dec_trace, kind, tiny_config.topology, fault_plan=plan
     )
@@ -289,6 +314,16 @@ def test_instrumented_parity_matrix(kind, fault_name, tiny_config, dec_trace):
     """Same matrix with journeys + telemetry attached: every journey step
     and every timeline row byte-identical, not just the final metrics."""
     plan = make_plan(fault_name, tiny_config.seed)
+    if plan is not None and kind in UNFAULTABLE_KINDS:
+        assert_plan_refused(
+            dec_trace,
+            kind,
+            tiny_config.topology,
+            plan,
+            journey_sink=SamplingJourneySink(capacity=None),
+            telemetry=RunTelemetry(MetricsRegistry(), bin_s=3600.0),
+        )
+        return
     sinks = {}
     rows = {}
     metrics = {}
